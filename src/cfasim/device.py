@@ -9,8 +9,8 @@ and pauses execution until the verifier approves.
 The trusted software itself is modeled functionally: entering it charges
 simulated cycle costs per phase and emits only the few bus records that the
 hardware rules care about (its metadata writes, the timer re-arm, the exit
-jump, heal-time program-memory patches), all of which pass through the same
-monitor pipeline as real instructions.
+jump, heal-time program-memory patches and the heal's log-clearing jump), all
+of which take the same veto-then-commit path as real instructions.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .isa import Op
 from .mcu import (FaultError, MemoryLayout, NMI_LINE, ProgramImage,
                   SignalBus, acceptable_line, apply_acceptance, apply_instr,
                   _fetch, load_image, predict_acceptance, predict_bus, raise_irq)
-from .monitor import (CfaMonitor, ResetReason, TriggerKind,
+from .monitor import (CfaMonitor, MonitorEvent, ResetReason, TriggerKind,
                       boundary_check, read_log_entries, read_metadata,
                       timer_write_check, write_metadata)
 from .rot import Mode, NMI_ACCEPT_BOUND, RotState, on_reset, rot_check
@@ -154,14 +154,29 @@ class Device:
     # application execution
     # ------------------------------------------------------------------
 
-    def _emit(self, bus: SignalBus) -> None:
+    def _vetoed(self, bus: SignalBus) -> bool:
+        """Evaluate the hardware rules on one bus record before any of its
+        effects land; a veto resets the device into a violation session."""
+        reason = (boundary_check(bus, self.layout)
+                  or timer_write_check(bus, self.layout)
+                  or rot_check(bus, self.rot, self.layout))
+        if reason is not None:
+            self._reset(reason)
+        return reason is not None
+
+    def _commit(self, bus: SignalBus, cycles: int) -> MonitorEvent | None:
+        """The one path every bus record takes: veto check, then cycle
+        charge, monitors and trace.  Returns None on a veto; otherwise the
+        caller lands the record's effects, which touch neither the log nor
+        the metadata the monitors read (the trusted software's metadata
+        update lands after its last store record)."""
+        if self._vetoed(bus):
+            return None
+        self.state.cycle += cycles
+        ev = self.monitor.observe(bus)
         if self.trace is not None:
             self.trace.append(bus)
-
-    def _check(self, bus: SignalBus) -> ResetReason | None:
-        return (boundary_check(bus, self.layout)
-                or timer_write_check(bus, self.layout)
-                or rot_check(bus, self.rot, self.layout))
+        return ev
 
     def _run_cycle(self) -> None:
         st = self.state
@@ -176,7 +191,7 @@ class Device:
         if NMI_LINE in st.pending_irq and self._nmi_raised_cycle is not None \
                 and st.cycle - self._nmi_raised_cycle > NMI_ACCEPT_BOUND:
             # watchdog: a trigger that failed to vector within its bound
-            self._violation_reset(ResetReason.TRIGGER_SUPPRESSED)
+            self._reset(ResetReason.TRIGGER_SUPPRESSED)
             return
         if st.halted:
             # only a trigger (non-maskable) can take over a halted core
@@ -188,18 +203,15 @@ class Device:
             bus = predict_bus(st, ins)
         except FaultError as e:
             self.last_fault = e.reason
-            self._violation_reset(ResetReason.MACHINE_FAULT)
+            self._reset(ResetReason.MACHINE_FAULT)
             return
-        reason = self._check(bus)
-        if reason is not None:
-            self._violation_reset(reason)
+        ev = self._commit(bus, 0)
+        if ev is None:
             return
         apply_instr(st, ins, bus)
         self.stats.app_cycles += 1
-        ev = self.monitor.observe(bus)
         if ev.trigger is not None:
             self._raise_trigger(ev.trigger, bus)
-        self._emit(bus)
         for irq_line in self.events.irq_at_retire.get(st.retired, ()):
             raise_irq(st, irq_line)
 
@@ -209,17 +221,14 @@ class Device:
             bus = predict_acceptance(st, line)
         except FaultError as e:
             self.last_fault = e.reason
-            self._violation_reset(ResetReason.MACHINE_FAULT)
+            self._reset(ResetReason.MACHINE_FAULT)
             return
-        reason = self._check(bus)
-        if reason is not None:
-            self._violation_reset(reason)
+        ev = self._commit(bus, 0)
+        if ev is None:
             return
         resume_ctx = (st.pc, st.gie, st.z)
         apply_acceptance(st, line)
         self.stats.app_cycles += 1
-        ev = self.monitor.observe(bus)
-        self._emit(bus)
         if line == NMI_LINE:
             kind = self._nmi_kind or TriggerKind.BOOT
             self._nmi_kind = None
@@ -244,15 +253,20 @@ class Device:
         self._resume_ctx = resume_ctx
         self.retired_at_last_trigger = self.state.retired
 
-    def _violation_reset(self, reason: ResetReason) -> None:
-        self.stats.n_violation_resets += 1
-        self.last_reset = reason
+    def _reset(self, reason: ResetReason | None) -> None:
+        """Hardware reset straight into a trusted-software session: a
+        violation session for a vetoed ``reason``, a boot session after a
+        heal (``None``)."""
+        if reason is not None:
+            self.stats.n_violation_resets += 1
+            self.last_reset = reason
         on_reset(self.state, self.rot, reason)
         self.monitor.hw_reset()
         self._nmi_kind = None
         self._nmi_raised_cycle = None
         self.mode = DeviceMode.RUN
-        self._pending_session = TriggerKind.VIOLATION
+        self._pending_session = (TriggerKind.BOOT if reason is None
+                                 else TriggerKind.VIOLATION)
         self._resume_ctx = (self.layout.s_base, False, False)
         self.retired_at_last_trigger = self.state.retired
 
@@ -265,46 +279,30 @@ class Device:
                 self.events.attacks[self._attack_idx].at_cycle <= self.state.cycle:
             ev = self.events.attacks[self._attack_idx]
             self._attack_idx += 1
-            in_tcb = self.rot.mode is Mode.TCB
+            st = self.state
+            pc = self.layout.tcb_min if self.rot.mode is Mode.TCB else st.pc
             if ev.kind == "dma":
-                bus = self._synthetic_bus(dma=True, dma_addr=ev.addr, in_tcb=in_tcb)
-                reason = self._check(bus)
-                if reason is not None:
-                    self._violation_reset(reason)
+                # arming the engine is checked only; its byte writes ride on
+                # the records of the cycles that follow
+                bus = SignalBus(pc=pc, pc_prev=pc, pc_next=pc, inst=Op.MOV,
+                                gie=st.gie, dma_en=True, dma_addr=ev.addr)
+                if self._vetoed(bus):
                     return
-                self.state.dma.enabled = True
-                self.state.dma.next_addr = ev.addr
-                self.state.dma.remaining = ev.count
-                self.state.dma.value = ev.value
+                st.dma.enabled = True
+                st.dma.next_addr = ev.addr
+                st.dma.remaining = ev.count
+                st.dma.value = ev.value
             elif ev.kind == "force-irq":
                 # fault injection: an interrupt controller forcing acceptance
-                st = self.state
                 target = st.ivt_target(ev.line)
-                pc = self.layout.tcb_min if in_tcb else st.pc
                 bus = SignalBus(pc=pc, pc_prev=st.pc_prev, pc_next=target,
                                 inst=None, irq=True, gie=st.gie, irq_acc=True,
                                 irq_line=ev.line)
-                reason = self._check(bus)
-                if reason is not None:
-                    self._violation_reset(reason)
+                if self._commit(bus, 0) is None:
                     return
                 st.pending_irq.pop(ev.line, None)
                 st.pc = target
                 st.gie = False
-                self.monitor.observe(bus)
-                self._emit(bus)
-
-    def _synthetic_bus(self, *, w_addr: int | None = None, dma: bool = False,
-                       dma_addr: int = 0, in_tcb: bool = False,
-                       inst: Op | None = Op.MOV) -> SignalBus:
-        st = self.state
-        pc = self.layout.tcb_min if in_tcb else st.pc
-        bus = SignalBus(pc=pc, pc_prev=pc, pc_next=pc, inst=inst, gie=st.gie)
-        if w_addr is not None:
-            bus.w_en, bus.d_addr = True, w_addr
-        if dma:
-            bus.dma_en, bus.dma_addr = True, dma_addr
-        return bus
 
     # ------------------------------------------------------------------
     # trusted-software session
@@ -385,35 +383,29 @@ class Device:
         else:
             self._heal(channel)
 
+    def _tcb_store(self, addr: int) -> bool:
+        """Commit one trusted-software store record to ``addr``; False on a
+        veto."""
+        pc = self.layout.tcb_min
+        bus = SignalBus(pc=pc, pc_prev=pc, pc_next=pc, inst=Op.MOV,
+                        gie=self.state.gie, w_en=True, d_addr=addr)
+        return self._commit(bus, 1) is not None
+
     def _tcb_write_metadata(self, chal: int, ar_min: int, ar_max: int) -> None:
         """The one legal metadata write path: performed by trusted software,
         visible to the monitors as in-TCB store records."""
         st, lay = self.state, self.layout
         for off in (0, 4, 6):
-            bus = self._synthetic_bus(w_addr=lay.metadata_base + off, in_tcb=True)
-            reason = self._check(bus)
-            if reason is not None:
-                self._violation_reset(reason)
+            if not self._tcb_store(lay.metadata_base + off):
                 return
-            st.cycle += 1
-            self.monitor.observe(bus)
-            self._emit(bus)
         md = read_metadata(st.dmem, lay)
         md.chal, md.ar_min, md.ar_max = chal, ar_min, ar_max
         write_metadata(st.dmem, lay, md)
 
     def _arm_timer(self) -> None:
         st, lay = self.state, self.layout
-        if self.timer_deadline <= 0:
+        if self.timer_deadline <= 0 or not self._tcb_store(lay.timer_reg):
             return
-        bus = self._synthetic_bus(w_addr=lay.timer_reg, in_tcb=True)
-        reason = self._check(bus)
-        if reason is not None:
-            self._violation_reset(reason)
-            return
-        st.cycle += 1
-        self.monitor.observe(bus)
-        self._emit(bus)
         off = lay.timer_reg - lay.dmem_base
         st.dmem[off:off + 4] = self.timer_deadline.to_bytes(4, "little")
         self.monitor.arm_timer()
@@ -428,26 +420,13 @@ class Device:
         resume, gie, z = self._resume_ctx
         bus = SignalBus(pc=lay.tcb_max, pc_prev=lay.tcb_max, pc_next=resume,
                         inst=Op.JMP, gie=False)
-        reason = self._check(bus)
-        if reason is not None:
-            self._violation_reset(reason)
+        if self._commit(bus, TCB_EXIT_CYCLES) is None:
             return
-        st.cycle += TCB_EXIT_CYCLES
-        self.monitor.observe(bus)
-        self._emit(bus)
         st.pc = resume
         st.pc_prev = lay.tcb_max
         st.gie, st.z = gie, z
         self.rot.mode = Mode.APP
         self.mode = DeviceMode.RUN
-
-    def _clear_log_for_heal(self) -> None:
-        # remediation completes the trusted sequence; the already-audited log
-        # is not re-sent after the post-heal reset
-        bus = SignalBus(pc=self.layout.tcb_max, pc_prev=self.layout.tcb_max,
-                        pc_next=self.layout.tcb_min, inst=Op.JMP, gie=False)
-        self.monitor.observe(bus)
-        self._emit(bus)
 
     def _heal(self, channel: Channel) -> None:
         st, lay = self.state, self.layout
@@ -472,14 +451,8 @@ class Device:
                 writes += [(seg.base, len(seg.data), seg.data)
                            for seg in img.segments]
                 for base, length, data in writes:
-                    bus = self._synthetic_bus(w_addr=base, in_tcb=True)
-                    reason = self._check(bus)
-                    if reason is not None:
-                        self._violation_reset(reason)
+                    if not self._tcb_store(base):
                         return
-                    st.cycle += 1
-                    self.monitor.observe(bus)
-                    self._emit(bus)
                     off = base - lay.pmem_base
                     st.pmem[off:off + length] = data if data else bytes(length)
                 self.rot.heal_latch = False
@@ -487,10 +460,10 @@ class Device:
         if action is HealAction.SHUTDOWN:
             self.mode = DeviceMode.SHUTDOWN
             return
-        self._clear_log_for_heal()
-        on_reset(st, self.rot, None)
-        self.monitor.hw_reset()
-        self._nmi_kind = None
-        self.mode = DeviceMode.RUN
-        self._pending_session = TriggerKind.BOOT
-        self._resume_ctx = (lay.s_base, False, False)
+        # remediation completes the trusted sequence: the exit-point jump
+        # clears the already-audited log, so the post-heal boot does not
+        # re-send it.  The jump stays inside the trusted region, so no rule
+        # can veto it.
+        self._commit(SignalBus(pc=lay.tcb_max, pc_prev=lay.tcb_max,
+                               pc_next=lay.tcb_min, inst=Op.JMP, gie=False), 0)
+        self._reset(None)

@@ -448,10 +448,6 @@ def _dma_advance(state: McuState) -> None:
     if d.enabled and d.remaining > 0:
         off = d.next_addr - state.layout.dmem_base
         if 0 <= off < len(state.dmem):
-            self_write = True
-        else:
-            self_write = False
-        if self_write:
             state.dmem[off] = d.value & 0xFF
         d.next_addr += 1
         d.remaining -= 1

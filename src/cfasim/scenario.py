@@ -16,7 +16,7 @@ from .device import Device, DeviceEvents, DeviceMode, DeviceStats
 from .mcu import MemoryLayout, ProgramImage, render_pmem
 from .tcb import DeviceKey, HealAction, WaitPolicy
 from .verifier import Verifier, VerifierConfig
-from .wire import CfaReport
+from .wire import CfaReport, decode_log
 
 DEFAULT_BUDGET = 3_000_000
 
@@ -204,13 +204,9 @@ def decompress_entries(entries, pmem_base: int = 0x8000) -> list[tuple[int, int]
     """Expand loop-counter entries: a counter with value n stands for n
     occurrences of the backward jump logged immediately before it."""
     out: list[tuple[int, int]] = []
-    prev_was_jump = False
-    for src, dest in entries:
-        if prev_was_jump and out and out[-1][1] <= out[-1][0] and src < pmem_base:
-            count = (src << 16) | dest
+    for src, dest, count in decode_log(entries, pmem_base):
+        if count is None:
+            out.append((src, dest))
+        else:
             out.extend([out[-1]] * (count - 1))
-            prev_was_jump = False
-            continue
-        out.append((src, dest))
-        prev_was_jump = True
     return out

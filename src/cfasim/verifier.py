@@ -1,13 +1,12 @@
-"""Verifier endpoint: offline control-flow-graph construction from the
-expected binary, online validation of log slices against that graph with a
-shadow stack, approval decisions, and response generation.
+"""Verifier endpoint: offline disassembly of the expected binary's attested
+region, online validation of log slices against it with a shadow stack,
+approval decisions, and response generation.
 
 Slice validation walks the logged (source, destination) pairs while tracking
 a cursor (the address execution is expected to reach next by straight-line
 flow), a shadow stack of expected return addresses, and the resume point
-announced by a trusted-software entry.  Loop-counter entries are recognized
-positionally: they follow a backward jump and their high half lies far below
-program memory, so they cannot be confused with a real transfer.
+announced by a trusted-software entry.  Loop-counter entries are told apart
+from transfers by the positional rule of :func:`cfasim.wire.decode_log`.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from dataclasses import dataclass, field
 from .isa import INSTR_SIZE, NO_FALLTHROUGH_OPS, DecodeError, Instr, Op, decode
 from .mcu import MemoryLayout
 from .monitor import TriggerKind
-from .wire import (CfaResponse, WireError, attest_digest, decode_report,
-                   encode_response, response_auth)
+from .wire import (CfaResponse, WireError, attest_digest, decode_log,
+                   decode_report, encode_response, response_auth)
 
 EXTERNAL = "<external>"   # cursor value while execution is outside the region
 
@@ -30,29 +29,13 @@ class CfgError(ValueError):
     pass
 
 
-class EdgeType(enum.Enum):
-    CALL = "call"
-    JUMP = "jump"
-    COND_TAKEN = "cond-taken"
-    FALL_THROUGH = "fall-through"
-    RETURN = "return"
-    ISR_ENTRY = "isr-entry"
-    ISR_RETURN = "isr-return"
-
-
-@dataclass(frozen=True)
-class BasicBlock:
-    start: int
-    end: int       # address of the last instruction in the block
-
-
 @dataclass
 class Cfg:
+    """What slice validation reads of the attested region: its instructions
+    by address and the entry points a transfer from outside may target."""
     ar_min: int
     ar_max: int
     instrs: dict[int, Instr]
-    blocks: list[BasicBlock]
-    edges: set[tuple[int, int | None, EdgeType]]   # (site, target, kind); None = dynamic
     call_targets: set[int]
     known_entries: set[int]
     isr_targets: set[int]
@@ -60,17 +43,11 @@ class Cfg:
     def in_region(self, addr: int) -> bool:
         return self.ar_min <= addr <= self.ar_max
 
-    def block_at(self, addr: int) -> BasicBlock | None:
-        for b in self.blocks:
-            if b.start <= addr <= b.end:
-                return b
-        return None
-
 
 def build_cfg(binary: bytes, ar: tuple[int, int], ivt_targets: tuple[int, ...] = (),
               pmem_base: int = 0x8000, extra_entries: tuple[int, ...] = ()) -> Cfg:
-    """Disassemble the attested region of the expected binary and split it
-    into basic blocks with typed edges.  ``binary`` is full PMEM content."""
+    """Disassemble the attested region of the expected binary and collect
+    its entry points.  ``binary`` is full PMEM content."""
     ar_min, ar_max = ar
     instrs: dict[int, Instr] = {}
     for addr in range(ar_min, ar_max + 1, INSTR_SIZE):
@@ -79,51 +56,9 @@ def build_cfg(binary: bytes, ar: tuple[int, int], ivt_targets: tuple[int, ...] =
         except DecodeError as e:
             raise CfgError(f"undecodable instruction at {addr:#06x}: {e}") from None
 
-    leaders = {ar_min}
-    call_targets: set[int] = set()
-    for addr, ins in instrs.items():
-        op = ins.op
-        if op in (Op.JMP, Op.JZ, Op.JNZ, Op.CALL) and ar_min <= ins.imm <= ar_max:
-            leaders.add(ins.imm)
-        if op is Op.CALL:
-            call_targets.add(ins.imm)
-        if op in (Op.JMP, Op.JZ, Op.JNZ, Op.CALL, Op.CALLI, Op.RET, Op.RETI, Op.HALT):
-            if addr + INSTR_SIZE in instrs:
-                leaders.add(addr + INSTR_SIZE)
-    for t in ivt_targets:
-        if ar_min <= t <= ar_max:
-            leaders.add(t)
-    leaders.update(extra_entries)
-
-    starts = sorted(leaders)
-    blocks = [BasicBlock(s, (starts[i + 1] - INSTR_SIZE) if i + 1 < len(starts) else ar_max)
-              for i, s in enumerate(starts)]
-
-    edges: set[tuple[int, int | None, EdgeType]] = set()
-    for b in blocks:
-        ins = instrs[b.end]
-        op = ins.op
-        nxt = b.end + INSTR_SIZE
-        if op is Op.JMP:
-            edges.add((b.end, ins.imm, EdgeType.JUMP))
-        elif op in (Op.JZ, Op.JNZ):
-            edges.add((b.end, ins.imm, EdgeType.COND_TAKEN))
-            if nxt in instrs:
-                edges.add((b.end, nxt, EdgeType.FALL_THROUGH))
-        elif op is Op.CALL:
-            edges.add((b.end, ins.imm, EdgeType.CALL))
-        elif op is Op.CALLI:
-            edges.add((b.end, None, EdgeType.CALL))
-        elif op is Op.RET:
-            edges.add((b.end, None, EdgeType.RETURN))
-        elif op is Op.RETI:
-            edges.add((b.end, None, EdgeType.ISR_RETURN))
-        elif op is not Op.HALT and nxt in instrs:
-            edges.add((b.end, nxt, EdgeType.FALL_THROUGH))
-
+    call_targets = {ins.imm for ins in instrs.values() if ins.op is Op.CALL}
     known = call_targets | set(extra_entries) | {ar_min}
-    return Cfg(ar_min, ar_max, instrs, blocks, edges, call_targets, known,
-               set(ivt_targets))
+    return Cfg(ar_min, ar_max, instrs, call_targets, known, set(ivt_targets))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +240,7 @@ class _Walker:
             return self._enter_external(0, s, d)
         return Violation(0, "BadSliceStart")
 
-    def counter_entry(self, i: int, s: int, d: int) -> Violation | None:
-        count = (s << 16) | d
+    def counter_entry(self, i: int, count: int) -> Violation | None:
         ls, ld = self.last_pair
         if count < 2:
             return Violation(i, "BadCounter")
@@ -337,8 +271,6 @@ class _Walker:
                     return cands
                 return self._accept_interrupt(i, d, cands)
 
-        if s == self.last_src and not self._reachable(self.cursor, s):
-            return Violation(i, "BrokenFlow")
         if not self._reachable(self.cursor, s):
             return Violation(i, "BrokenFlow")
         ins = cfg.instrs[s]
@@ -378,15 +310,13 @@ def validate_slice(kind: SliceKind, entries: list[tuple[int, int]], cfg: Cfg,
     w = _Walker(cfg, session)
     lay = session.layout
 
-    for i, (s, d) in enumerate(entries):
+    for i, (s, d, count) in enumerate(decode_log(entries, lay.pmem_base)):
         if w.entered_tcb:
             return Violation(i, "EntriesAfterTrigger")
-        if w.last_pair is not None and w.last_pair[1] <= w.last_pair[0] \
-                and s < lay.pmem_base:
-            v = w.counter_entry(i, s, d)
+        if count is not None:
+            v = w.counter_entry(i, count)
             if v is not None:
                 return v
-            w.last_pair = None   # a counter cannot follow a counter
             continue
         if i == 0:
             v = w.first_entry(kind, s, d, session.issued_ar)
@@ -438,7 +368,9 @@ class Verifier:
                                config.ivt_targets, config.layout.pmem_base,
                                config.extra_entries)
         self.audit: list[str] = []
-        self._cache: dict[tuple[int, bytes], bytes] = {}
+        # the answer to the last authentic report, resent verbatim when that
+        # report is retransmitted; only one challenge is outstanding at a time
+        self._last: tuple[tuple[int, bytes], bytes] | None = None
         self._target_ar = config.target_ar
 
     # -- helpers --
@@ -464,8 +396,8 @@ class Verifier:
         md = report.metadata
 
         cache_key = (md.chal, report.h)
-        if cache_key in self._cache:
-            cached = self._cache[cache_key]
+        if self._last is not None and self._last[0] == cache_key:
+            cached = self._last[1]
             self._audit("cached", cached[0], "resend", md.cf_size)
             return cached
 
@@ -511,7 +443,7 @@ class Verifier:
                                        self.config.extra_entries)
 
         raw = self._respond(app)
-        self._cache[cache_key] = raw
+        self._last = (cache_key, raw)
         self._audit(kind.value, app, reason, md.cf_size)
         return raw
 

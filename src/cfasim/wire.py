@@ -52,6 +52,22 @@ def response_auth(key: bytes, chal: int, ar_min: int, ar_max: int, app: int) -> 
     return mac(key, struct.pack(">IHHB", chal, ar_min, ar_max, app))
 
 
+def decode_log(entries, pmem_base: int):
+    """Yield ``(src, dest, count)`` for each log entry: ``count`` is None for
+    a transfer and the iteration count of a loop-counter entry.  Counters are
+    recognised by position: one follows a backward jump, its high half lies
+    below program memory (where no transfer source can), and a counter never
+    follows a counter."""
+    prev = None   # the previous entry, when it was a transfer
+    for src, dest in entries:
+        if prev is not None and prev[1] <= prev[0] and src < pmem_base:
+            yield src, dest, (src << 16) | dest
+            prev = None
+        else:
+            yield src, dest, None
+            prev = (src, dest)
+
+
 def pack_entries(entries: list[tuple[int, int]]) -> bytes:
     out = bytearray()
     for src, dest in entries:

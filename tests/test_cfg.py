@@ -2,8 +2,9 @@ import pytest
 
 from cfasim.apps import PASSWORD
 from cfasim.asm import assemble
+from cfasim.isa import Op
 from cfasim.mcu import MemoryLayout, render_pmem
-from cfasim.verifier import CfgError, EdgeType, build_cfg
+from cfasim.verifier import CfgError, build_cfg
 
 LAY = MemoryLayout()
 
@@ -14,60 +15,11 @@ def build(source, ar_labels, **kw):
     return build_cfg(render_pmem(res.image, LAY), ar, **kw), res.symbols
 
 
-def test_straight_line_single_block():
-    cfg, sym = build("""
-        .org 0x9000
-a:      MOV r0, #1
-        ADD r0, #2
-b:      HALT
-""", ("a", "b"))
-    assert len(cfg.blocks) == 1
-    assert (cfg.blocks[0].start, cfg.blocks[0].end) == (0x9000, 0x9008)
-    assert cfg.edges == set()
-
-
-def test_backward_conditional_splits_two_blocks():
-    cfg, sym = build("""
-        .org 0x9000
-top:    SUB r0, #1
-        JNZ top
-end:    NOP
-""", ("top", "end"))
-    starts = sorted(b.start for b in cfg.blocks)
-    assert starts == [0x9000, 0x9008]
-    assert (0x9004, 0x9000, EdgeType.COND_TAKEN) in cfg.edges
-    assert (0x9004, 0x9008, EdgeType.FALL_THROUGH) in cfg.edges
-
-
 def test_undecodable_instruction_rejected():
     pmem = bytearray(LAY.pmem_size)
     pmem[0x9000 - LAY.pmem_base] = 0xFF
     with pytest.raises(CfgError, match="undecodable"):
         build_cfg(bytes(pmem), (0x9000, 0x9004))
-
-
-# Hand-derived listing of the password app's attested region: block
-# boundaries computed by hand from the source (4 bytes per instruction,
-# leaders at branch targets and after transfer instructions).
-PASSWORD_BLOCKS = [
-    (0x9100, 0x9100),  # app_main: CALL getpw
-    (0x9104, 0x9108),  # CMP / JNZ badpw
-    (0x910C, 0x910C),  # JMP sense
-    (0x9110, 0x9110),  # badpw: JMP done
-    (0x9114, 0x913C),  # getpw: 8 pushes, buffer setup
-    (0x9140, 0x9144),  # cploop: CMP / JZ cpdone
-    (0x9148, 0x915C),  # copy body, JMP cploop
-    (0x9160, 0x916C),  # cpdone: first compare
-    (0x9170, 0x917C),  # second compare
-    (0x9180, 0x918C),  # third compare
-    (0x9190, 0x919C),  # fourth compare
-    (0x91A0, 0x91A4),  # MOV r0,#1 / JMP gexit
-    (0x91A8, 0x91A8),  # nope: MOV r0,#0
-    (0x91AC, 0x91CC),  # gexit: 8 pops, RET
-    (0x91D0, 0x91D8),  # sense: loop setup
-    (0x91DC, 0x91EC),  # sloop body / JNZ sloop
-    (0x91F0, 0x91F0),  # done: NOP
-]
 
 
 def test_password_app_matches_hand_listing():
@@ -76,18 +28,13 @@ def test_password_app_matches_hand_listing():
     assert sym["cploop"] == 0x9140
     assert sym["sense"] == 0x91D0
     assert sym["done"] == 0x91F0
-    assert [(b.start, b.end) for b in cfg.blocks] == PASSWORD_BLOCKS
-    assert (0x9100, 0x9114, EdgeType.CALL) in cfg.edges
-    assert (0x9144, 0x9160, EdgeType.COND_TAKEN) in cfg.edges
-    assert (0x9144, 0x9148, EdgeType.FALL_THROUGH) in cfg.edges
-    assert (0x915C, 0x9140, EdgeType.JUMP) in cfg.edges
-    assert (0x91CC, None, EdgeType.RETURN) in cfg.edges
-    assert (0x91EC, 0x91DC, EdgeType.COND_TAKEN) in cfg.edges
+    assert sorted(cfg.instrs) == list(range(0x9100, 0x91F4, 4))
+    assert (cfg.instrs[0x9100].op, cfg.instrs[0x9100].imm) == (Op.CALL, 0x9114)
     assert cfg.call_targets == {0x9114}
     assert cfg.known_entries == {0x9100, 0x9114}
 
 
-def test_isr_targets_become_leaders():
+def test_isr_targets_recorded():
     cfg, sym = build("""
         .org 0x9000
 a:      NOP
@@ -95,5 +42,4 @@ a:      NOP
 h:      RETI
 e:      NOP
 """, ("a", "e"), ivt_targets=(0x9008,))
-    assert any(b.start == 0x9008 for b in cfg.blocks)
     assert 0x9008 in cfg.isr_targets

@@ -290,6 +290,41 @@ done:   NOP
             != bytes(16)   # old image still in place
 
 
+class TestTrustedSoftwareRecords:
+    def test_trusted_records_take_the_commit_path(self):
+        # every record the trusted software produces goes through the same
+        # veto-then-commit path as an instruction, so each lands in the trace
+        # exactly once; counts come from the run's own verdicts
+        from cfasim.apps import PASSWORD_PATCHED
+        res = run_scenario(ScenarioConfig(app="password", input_kind="overflow",
+                                          heal_action=HealAction.UPDATE,
+                                          keep_trace=True))
+        lay = res.device.layout
+        assert res.outcome is Outcome.COMPLETED
+        assert len(res.audit) == len(res.reports)   # clean channel: one verdict each
+        approves = sum(" app=1 " in line for line in res.audit)
+        denies = len(res.audit) - approves
+        assert denies == 1
+        patch = assemble(PASSWORD_PATCHED, entry=LAY.tcb_min).image
+        n_patch = len(range(lay.s_base, lay.pmem_end, 256)) + len(patch.segments)
+
+        tcb = [b for b in res.device.trace if lay.in_tcb(b.pc)]
+        stores = [b for b in tcb if b.w_en]
+        md_stores = [b for b in stores if lay.in_metadata(b.d_addr)]
+        timer_stores = [b for b in stores if lay.in_timer(b.d_addr)]
+        pmem_stores = [b for b in stores if lay.in_pmem(b.d_addr)]
+        jumps = [b for b in tcb if b.pc == lay.tcb_max and b.inst is not None]
+        exits = [b for b in jumps if b.pc_next != lay.tcb_min]
+        clears = [b for b in jumps if b.pc_next == lay.tcb_min]
+        assert len(md_stores) == 3 * len(res.audit)
+        assert len(timer_stores) == approves      # the re-arm before each exit
+        assert len(exits) == approves
+        assert len(pmem_stores) == n_patch * denies
+        assert len(clears) == denies
+        assert len(tcb) == len(stores) + len(jumps)
+        assert len(stores) == len(md_stores) + len(timer_stores) + len(pmem_stores)
+
+
 class TestTriggerSuppression:
     def test_watchdog_resets_when_acceptance_is_blocked(self, monkeypatch):
         """Structurally unreachable in this machine (triggers vector on the

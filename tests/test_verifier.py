@@ -5,7 +5,7 @@ import pytest
 from cfasim.apps import PASSWORD
 from cfasim.asm import assemble
 from cfasim.mcu import MemoryLayout, render_pmem
-from cfasim.scenario import ScenarioConfig, run_scenario
+from cfasim.scenario import Outcome, ScenarioConfig, run_scenario
 from cfasim.verifier import (Phase, SliceKind, VerifySession, Violation,
                              build_cfg, validate_slice)
 
@@ -190,6 +190,24 @@ class TestEndToEndVerdicts:
                 chals.append(decode_response(frame).chal)
         assert chals == sorted(chals)
         assert len(set(chals)) == len(chals)
+
+    def test_only_the_last_response_is_kept_for_resends(self):
+        from cfasim.channel import PROVER, VERIFIER
+        res = run_scenario(ScenarioConfig(app="loop_heavy", max_cflog_bytes=16,
+                                          timer_deadline_cycles=20_000,
+                                          cycle_budget=10**9))
+        assert res.outcome is Outcome.COMPLETED
+        ver = res.verifier
+        reports = [f for ep, f in res.channel.captured if ep == VERIFIER]
+        responses = [f for ep, f in res.channel.captured if ep == PROVER]
+        assert len(reports) == len(responses) > 100
+        # the last report, resent, gets its byte-identical answer from the cache
+        assert ver.handle_report(reports[-1]) == responses[-1]
+        assert " reason=resend " in ver.audit[-1]
+        # one cached response for the whole run: an older report is now stale
+        assert ver._last[1] == responses[-1]
+        assert ver.handle_report(reports[-2]) is None
+        assert " reason=stale-chal " in ver.audit[-1]
 
 
 class TestSliceEdgeRules:
