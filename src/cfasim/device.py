@@ -77,10 +77,6 @@ class DeviceStats:
     heal_cycles: int = 0
     app_cycles: int = 0
 
-    @property
-    def trigger_total(self) -> int:
-        return self.n_t1 + self.n_t2 + self.n_t3 + self.n_violation_resets
-
 
 class Device:
     """One prover instance with deterministic behavior under a fixed
@@ -185,22 +181,26 @@ class Device:
             return
 
         line = acceptable_line(st)
-        if line is not None and (line == NMI_LINE or not st.halted):
-            self._accept(line)
-            return
-        if NMI_LINE in st.pending_irq and self._nmi_raised_cycle is not None \
-                and st.cycle - self._nmi_raised_cycle > NMI_ACCEPT_BOUND:
-            # watchdog: a trigger that failed to vector within its bound
-            self._reset(ResetReason.TRIGGER_SUPPRESSED)
-            return
-        if st.halted:
-            # only a trigger (non-maskable) can take over a halted core
-            self.mode = DeviceMode.HALTED
-            return
+        if line is not None and line != NMI_LINE and st.halted:
+            line = None     # only a trigger (non-maskable) wakes a halted core
+        if line is None:
+            if NMI_LINE in st.pending_irq and self._nmi_raised_cycle is not None \
+                    and st.cycle - self._nmi_raised_cycle > NMI_ACCEPT_BOUND:
+                # watchdog: a trigger that failed to vector within its bound
+                self._reset(ResetReason.TRIGGER_SUPPRESSED)
+                return
+            if st.halted:
+                self.mode = DeviceMode.HALTED
+                return
 
+        # one cycle: an interrupt acceptance if a line is eligible, otherwise
+        # the next instruction retires
         try:
-            ins = _fetch(st)
-            bus = predict_bus(st, ins)
+            if line is None:
+                ins = _fetch(st)
+                bus = predict_bus(st, ins)
+            else:
+                bus = predict_acceptance(st, line)
         except FaultError as e:
             self.last_fault = e.reason
             self._reset(ResetReason.MACHINE_FAULT)
@@ -208,41 +208,29 @@ class Device:
         ev = self._commit(bus, 0)
         if ev is None:
             return
-        apply_instr(st, ins, bus)
-        self.stats.app_cycles += 1
-        if ev.trigger is not None:
-            self._raise_trigger(ev.trigger, bus)
-        for irq_line in self.events.irq_at_retire.get(st.retired, ()):
-            raise_irq(st, irq_line)
-
-    def _accept(self, line: int) -> None:
-        st = self.state
-        try:
-            bus = predict_acceptance(st, line)
-        except FaultError as e:
-            self.last_fault = e.reason
-            self._reset(ResetReason.MACHINE_FAULT)
-            return
-        ev = self._commit(bus, 0)
-        if ev is None:
-            return
-        resume_ctx = (st.pc, st.gie, st.z)
-        apply_acceptance(st, line)
+        if line is None:
+            apply_instr(st, ins, bus)
+        else:
+            resume_ctx = (st.pc, st.gie, st.z)
+            apply_acceptance(st, line)
         self.stats.app_cycles += 1
         if line == NMI_LINE:
             kind = self._nmi_kind or TriggerKind.BOOT
             self._nmi_kind = None
             self._nmi_raised_cycle = None
             self._enter_tcb(kind, resume_ctx)
-        elif ev.trigger is not None:
-            self._raise_trigger(ev.trigger, bus)
+            return
+        if ev.trigger is not None:
+            self._raise_trigger(ev.trigger)
+        if line is None:
+            for irq_line in self.events.irq_at_retire.get(st.retired, ()):
+                raise_irq(st, irq_line)
 
-    def _raise_trigger(self, kind: TriggerKind, bus: SignalBus) -> None:
+    def _raise_trigger(self, kind: TriggerKind) -> None:
         if self._nmi_kind is not None or NMI_LINE in self.state.pending_irq:
             return
         self._nmi_kind = kind
         self._nmi_raised_cycle = self.state.cycle
-        bus.nmi = True
         # eligible on the very next cycle: the asserting instruction was the
         # in-flight one
         self.state.pending_irq[NMI_LINE] = self.state.retired - 1
@@ -260,7 +248,7 @@ class Device:
         if reason is not None:
             self.stats.n_violation_resets += 1
             self.last_reset = reason
-        on_reset(self.state, self.rot, reason)
+        on_reset(self.state, self.rot)
         self.monitor.hw_reset()
         self._nmi_kind = None
         self._nmi_raised_cycle = None
@@ -285,7 +273,7 @@ class Device:
                 # arming the engine is checked only; its byte writes ride on
                 # the records of the cycles that follow
                 bus = SignalBus(pc=pc, pc_prev=pc, pc_next=pc, inst=Op.MOV,
-                                gie=st.gie, dma_en=True, dma_addr=ev.addr)
+                                dma_en=True, dma_addr=ev.addr)
                 if self._vetoed(bus):
                     return
                 st.dma.enabled = True
@@ -296,8 +284,7 @@ class Device:
                 # fault injection: an interrupt controller forcing acceptance
                 target = st.ivt_target(ev.line)
                 bus = SignalBus(pc=pc, pc_prev=st.pc_prev, pc_next=target,
-                                inst=None, irq=True, gie=st.gie, irq_acc=True,
-                                irq_line=ev.line)
+                                inst=None, irq_acc=True, irq_line=ev.line)
                 if self._commit(bus, 0) is None:
                     return
                 st.pending_irq.pop(ev.line, None)
@@ -388,7 +375,7 @@ class Device:
         veto."""
         pc = self.layout.tcb_min
         bus = SignalBus(pc=pc, pc_prev=pc, pc_next=pc, inst=Op.MOV,
-                        gie=self.state.gie, w_en=True, d_addr=addr)
+                        w_en=True, d_addr=addr)
         return self._commit(bus, 1) is not None
 
     def _tcb_write_metadata(self, chal: int, ar_min: int, ar_max: int) -> None:
@@ -419,7 +406,7 @@ class Device:
             return
         resume, gie, z = self._resume_ctx
         bus = SignalBus(pc=lay.tcb_max, pc_prev=lay.tcb_max, pc_next=resume,
-                        inst=Op.JMP, gie=False)
+                        inst=Op.JMP)
         if self._commit(bus, TCB_EXIT_CYCLES) is None:
             return
         st.pc = resume
@@ -465,5 +452,5 @@ class Device:
         # re-send it.  The jump stays inside the trusted region, so no rule
         # can veto it.
         self._commit(SignalBus(pc=lay.tcb_max, pc_prev=lay.tcb_max,
-                               pc_next=lay.tcb_min, inst=Op.JMP, gie=False), 0)
+                               pc_next=lay.tcb_min, inst=Op.JMP), 0)
         self._reset(None)

@@ -1,7 +1,7 @@
 """TinyMCU: a minimal deterministic 16-bit core that executes images in place
 from program memory and exposes, for every cycle, the signals a hardware
-security monitor observes (program counter, opcode tag, memory-write strobes,
-DMA activity, interrupt state).
+security monitor observes (program counter, opcode tag, memory-write strobe,
+DMA activity, interrupt acceptance).
 
 Each call to :func:`step` retires exactly one instruction, or performs one
 interrupt-acceptance cycle, and yields one :class:`SignalBus` record.  The
@@ -177,20 +177,22 @@ class SignalBus:
     ``pc`` holds the interrupted address.  ``pc_prev`` is the address of the
     most recently *retired* instruction, ``pc_next`` the address execution
     continues at.  Consecutive records chain: next.pc == this.pc_next.
+
+    The record carries only what a rule reads.  ``d_addr`` is the store
+    address when ``w_en`` is set (the monitors' write rules) and the load
+    address of a ``MOV`` load (read back by :func:`apply_instr`).
+    ``irq_acc`` flags the acceptance cycle itself; the branch monitor logs
+    the jump into the handler on exactly that record.
     """
     pc: int
     pc_prev: int
     pc_next: int
     inst: Op | None
     w_en: bool = False
-    r_en: bool = False
     d_addr: int = 0
     dma_en: bool = False
     dma_addr: int = 0
-    irq: bool = False
-    gie: bool = False
     irq_acc: bool = False
-    nmi: bool = False
     irq_line: int | None = None   # line being accepted when irq_acc is set
 
 
@@ -368,9 +370,7 @@ def predict_acceptance(state: McuState, line: int) -> SignalBus:
     not touch the stack (the trusted-software context is held by the RoT)."""
     target = state.ivt_target(line)
     bus = SignalBus(pc=state.pc, pc_prev=state.pc_prev, pc_next=target,
-                    inst=None, irq=True, gie=state.gie, irq_acc=True,
-                    nmi=(line == NMI_LINE or NMI_LINE in state.pending_irq),
-                    irq_line=line)
+                    inst=None, irq_acc=True, irq_line=line)
     if line != NMI_LINE:
         if state.sp - 2 < state.layout.dmem_base:
             raise FaultError("stack-overflow")
@@ -395,22 +395,20 @@ def predict_bus(state: McuState, ins: Instr) -> SignalBus:
     """Compute the full bus record for retiring ``ins`` without side effects."""
     pc = state.pc
     nxt = (pc + INSTR_SIZE) & MASK16
-    bus = SignalBus(pc=pc, pc_prev=state.pc_prev, pc_next=nxt, inst=ins.op,
-                    irq=bool(state.pending_irq), gie=state.gie,
-                    nmi=NMI_LINE in state.pending_irq)
+    bus = SignalBus(pc=pc, pc_prev=state.pc_prev, pc_next=nxt, inst=ins.op)
     op = ins.op
     if op is Op.MOV:
         m = ins.mode
         if m == M_ABS_LOAD:
-            bus.r_en, bus.d_addr = True, ins.imm
+            bus.d_addr = ins.imm
         elif m == M_ABS_STORE:
             bus.w_en, bus.d_addr = True, ins.imm
         elif m == M_IND_LOAD:
-            bus.r_en, bus.d_addr = True, state.regs[ins.rs]
+            bus.d_addr = state.regs[ins.rs]
         elif m == M_IND_STORE:
             bus.w_en, bus.d_addr = True, state.regs[ins.rd]
         elif m == M_IDX_LOAD:
-            bus.r_en, bus.d_addr = True, (state.regs[ins.rs] + ins.imm) & MASK16
+            bus.d_addr = (state.regs[ins.rs] + ins.imm) & MASK16
         elif m == M_IDX_STORE:
             bus.w_en, bus.d_addr = True, (state.regs[ins.rd] + ins.imm) & MASK16
     elif op in (Op.CALL, Op.CALLI, Op.PUSH):
@@ -424,7 +422,6 @@ def predict_bus(state: McuState, ins: Instr) -> SignalBus:
     elif op in (Op.POP, Op.RET, Op.RETI):
         if not _sp_ok(state):
             raise FaultError("stack-underflow")
-        bus.r_en, bus.d_addr = True, state.sp
         if op in (Op.RET, Op.RETI):
             bus.pc_next = state.read16(state.sp)
     elif op is Op.JMP:

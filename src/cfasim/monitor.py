@@ -3,9 +3,9 @@
 Five cooperating sub-monitors are evaluated against every bus record:
 
 * boundary monitor  - vetoes illegal writes to the metadata / log regions
-* branch monitor    - flags control-flow transfers, including a small FSM
-                      that pins interrupt-induced jumps to the exact cycle
-                      the core commits the jump
+* branch monitor    - flags taken control-flow transfers; the jump into an
+                      interrupt handler is the acceptance record itself,
+                      which the core flags with ``irq_acc``
 * log monitor       - tracks the log fill level, clears it on trusted-software
                       exit and asserts the flush trigger
 * loop monitor      - compresses repeated backward jumps into one entry plus
@@ -128,39 +128,9 @@ def timer_write_check(bus: SignalBus, layout: MemoryLayout) -> ResetReason | Non
 # Branch monitor
 # ---------------------------------------------------------------------------
 
-WAIT, PEND, ACC = 0, 1, 2
-
-
-@dataclass
-class BranchFsm:
-    """Three-state FSM tracking interrupt handling so the jump into a handler
-    is attributed to the exact last-retired instruction."""
-    state: int = WAIT
-
-    def reset(self) -> None:
-        self.state = WAIT
-
-    def step(self, bus: SignalBus) -> bool:
-        """Advance one cycle; returns call_irq (true exactly on the cycle the
-        core commits the jump into a handler)."""
-        s = self.state
-        if s == WAIT:
-            nxt = PEND if ((bus.irq and bus.gie) or bus.nmi) else WAIT
-        elif s == PEND:
-            nxt = ACC if bus.irq_acc else PEND
-        else:
-            nxt = WAIT
-        # An acceptance can legitimately arrive while the FSM missed the
-        # pend-cycle (back-to-back triggers): treat irq_acc as authoritative.
-        if bus.irq_acc:
-            nxt = ACC
-        self.state = nxt
-        return nxt == ACC
-
-
-def is_branch_record(bus: SignalBus, call_irq: bool) -> bool:
+def is_branch_record(bus: SignalBus) -> bool:
     """Taken control-flow transfer on this record (instruction or interrupt)."""
-    if call_irq:
+    if bus.irq_acc:
         return True
     op = bus.inst
     if op is None or op not in BRANCH_OPS:
@@ -188,10 +158,6 @@ class LoopState:
     ctr: int = 1
     counter_slot: int | None = None
 
-    @property
-    def active(self) -> bool:
-        return self.ctr > 1
-
     def reset(self) -> None:
         self.src_loop = None
         self.dest_loop = None
@@ -205,12 +171,9 @@ class LoopState:
 
 @dataclass
 class MonitorEvent:
-    """What one record did to the monitor state (for stats and tests)."""
-    hw_en: bool = False
-    entry: tuple[int, int] | None = None       # appended normal entry
-    counter: int | None = None                  # in-place counter value written
-    committed_counter: bool = False
-    cleared: bool = False                        # log reset on trusted-software exit
+    """What one record did that a caller reads: the entry it appended and
+    the trigger it raised."""
+    entry: tuple[int, int] | None = None
     trigger: TriggerKind | None = None
 
 
@@ -220,7 +183,6 @@ class CfaMonitor:
     def __init__(self, dmem: bytearray, layout: MemoryLayout):
         self.dmem = dmem
         self.layout = layout
-        self.fsm = BranchFsm()
         self.loop = LoopState()
         self.timer_count = 0     # cycles until the periodic trigger; 0 = disarmed
         self._md_off = layout.metadata_base - layout.dmem_base
@@ -252,47 +214,33 @@ class CfaMonitor:
         """Device reset: sequential monitor state clears; the log and its
         metadata-held size survive so the post-reset report still carries
         everything captured before the reset."""
-        self.fsm.reset()
         self.loop.reset()
         self.timer_count = 0
 
     # the per-record pipeline
 
     def observe(self, bus: SignalBus) -> MonitorEvent:
-        """Digest one committed bus record: update the branch FSM, the loop
-        state, the log and its fill counter, and report any trigger that the
-        record caused.  Must be called after veto checks passed."""
+        """Digest one committed bus record: update the loop state, the log
+        and its fill counter, and report any trigger that the record caused.
+        Must be called after veto checks passed."""
         ev = MonitorEvent()
-        lay = self.layout
 
         # Trusted-software exit frees the log for the next slice.
-        if bus.pc == lay.tcb_max and bus.inst is not None:
+        if bus.pc == self.layout.tcb_max and bus.inst is not None:
             self._set_cf_size(0)
             self.loop.reset()
-            ev.cleared = True
 
-        call_irq = self.fsm.step(bus)
-        branch = is_branch_record(bus, call_irq)
-
-        if branch:
+        if is_branch_record(bus):
             self._log_transfer(bus, ev)
 
-        trig = self._trigger_eval(bus)
-        if trig is not None:
-            ev.trigger = trig
+        ev.trigger = self._trigger_eval(bus)
         return ev
 
     def _log_transfer(self, bus: SignalBus, ev: MonitorEvent) -> None:
-        lay = self.layout
         ar_min, ar_max = self._ar_bounds()
         src, dest = transfer_of(bus)
-        max_entries = lay.max_entries
-        log_full = self.cf_size >= max_entries
-        in_ar_src = ar_min <= src <= ar_max
-        in_ar_dest = ar_min <= dest <= ar_max
-        hw_en = (not log_full) and (in_ar_src or in_ar_dest)
-        ev.hw_en = hw_en
-        if not hw_en:
+        if self.cf_size >= self.layout.max_entries \
+                or not (ar_min <= src <= ar_max or ar_min <= dest <= ar_max):
             return
 
         loop = self.loop
@@ -302,7 +250,6 @@ class CfaMonitor:
                 loop.ctr = 2
                 loop.counter_slot = self.cf_size
                 self._write_counter(loop)
-                ev.counter = loop.ctr
                 return
             loop.src_loop, loop.dest_loop = src, dest
             self._append(src, dest, ev)
@@ -310,12 +257,10 @@ class CfaMonitor:
         if (src, dest) == (loop.src_loop, loop.dest_loop):
             loop.ctr += 1
             self._write_counter(loop)
-            ev.counter = loop.ctr
             return
         # loop left: commit the counter slot, then log this transfer normally
         if loop.counter_slot is not None:
             self._set_cf_size(loop.counter_slot + 1)
-            ev.committed_counter = True
         loop.ctr = 1
         loop.counter_slot = None
         loop.src_loop, loop.dest_loop = src, dest

@@ -27,7 +27,6 @@ class Mode(enum.Enum):
 class RotState:
     mode: Mode = Mode.TCB          # boot starts inside the trusted software
     heal_latch: bool = False       # set only while the heal phase may patch S
-    reset_reason: ResetReason | None = None
 
 
 def rot_check(bus: SignalBus, rot: RotState, layout: MemoryLayout) -> ResetReason | None:
@@ -54,6 +53,12 @@ def rot_check(bus: SignalBus, rot: RotState, layout: MemoryLayout) -> ResetReaso
         if layout.in_tcb(bus.pc) and not layout.in_tcb(bus.pc_next) \
                 and bus.pc != layout.tcb_max:
             return ResetReason.ILLEGAL_TCB_EXIT
+    elif layout.in_tcb(bus.pc):
+        # (e) the trusted software runs only as a session the RoT opened; an
+        # application that reaches the TCB on its own (a legal-entry jump or
+        # a forced NMI without a trigger) would otherwise slide through it to
+        # the exit point, where the log is cleared unreported
+        return ResetReason.ILLEGAL_TCB_ENTRY
 
     # (c) fixed entry point, regardless of mode
     if not layout.in_tcb(bus.pc) and layout.in_tcb(bus.pc_next) \
@@ -62,11 +67,10 @@ def rot_check(bus: SignalBus, rot: RotState, layout: MemoryLayout) -> ResetReaso
     return None
 
 
-def on_reset(state: McuState, rot: RotState, reason: ResetReason | None) -> McuState:
-    """Reset the core, remembering why, so the next report can be labeled.
-    Guarantees the first post-reset activity is the trusted software (the
-    core restarts at its entry point with interrupts and DMA disabled)."""
-    rot.reset_reason = reason
+def on_reset(state: McuState, rot: RotState) -> McuState:
+    """Reset the core.  Guarantees the first post-reset activity is the
+    trusted software (the core restarts at its entry point with interrupts
+    and DMA disabled)."""
     rot.mode = Mode.TCB
     rot.heal_latch = False
     return mcu_reset(state)

@@ -141,6 +141,58 @@ class TestTcbInterference:
         assert result.device.last_reset is ResetReason.IRQ_IN_TCB
 
 
+class TestTcbSlide:
+    """The application may enter the trusted region only by triggering a
+    session.  Reaching it any other way in application mode resets the
+    device.  Otherwise the application would slide through the zero-filled
+    region to the exit point, which clears the log without a report."""
+
+    SLIDE = """
+        .org 0x9000
+main:   MOV r0, &0x1000
+        CMP r0, #1
+        JZ fin
+        MOV r1, #1
+        MOV &0x1000, r1
+        CALL work
+jump:   JMP 0x8000             ; the legal entry point, without a trigger
+fin:    NOP
+        HALT
+work:   RET
+"""
+
+    def test_jump_to_tcb_entry_ends_in_violation_report(self):
+        result, sym = run_src(self.SLIDE)
+        dev = result.device
+        assert dev.last_reset is ResetReason.ILLEGAL_TCB_ENTRY
+        vio = next(r for r in result.reports if r.trigger is TriggerKind.VIOLATION)
+        call_site = sym["jump"] - 4
+        assert vio.entries == ((LAY.tcb_max, sym["main"]),    # the BOOT exit
+                               (call_site, sym["work"]), (sym["work"], sym["jump"]),
+                               (sym["jump"], LAY.tcb_min))
+        assert result.outcome is Outcome.COMPLETED   # clean re-run after reset
+
+    def test_forced_nmi_in_app_mode_ends_in_violation_report(self):
+        # the NMI line forced while the application runs: the core lands on
+        # the trusted entry with no session behind it
+        src = """
+        .org 0x9000
+main:   MOV r7, #5000
+loop:   SUB r7, #1
+        JNZ loop
+fin:    NOP
+        HALT
+"""
+        ev = DeviceEvents(attacks=[AttackEvent(at_cycle=140_000, kind="force-irq",
+                                               line=0)])
+        result, sym = run_src(src, events=ev)
+        assert result.device.last_reset is ResetReason.ILLEGAL_TCB_ENTRY
+        vio = next(r for r in result.reports if r.trigger is TriggerKind.VIOLATION)
+        src_pc, dest = vio.entries[-1]
+        assert dest == LAY.tcb_min and sym["loop"] <= src_pc <= sym["loop"] + 4
+        assert result.outcome is Outcome.COMPLETED
+
+
 class TestPhaseOrder:
     PATTERN = re.compile(r"^att wait( heal)?( att wait( heal)?)*$")
 

@@ -1,0 +1,33 @@
+"""The benchmark's per-layer tracer (``perfbench/layers.py``) wraps product
+entry points by name, so renaming or deleting one breaks
+``perfbench/run.py --trace 1``.  This runs it on one small scenario."""
+
+import importlib.util
+from pathlib import Path
+
+import cfasim.device
+import cfasim.mcu
+from cfasim.scenario import ScenarioConfig, run_scenario
+
+LAYERS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PY)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_counts_core_and_monitor_work():
+    layers = load_layers()
+    plain = run_scenario(ScenarioConfig(app="few_branch"))
+    with layers.LayerTracer() as tracer:
+        traced = run_scenario(ScenarioConfig(app="few_branch"))
+    assert traced.audit == plain.audit
+    assert tracer.counts["mcu.instr_retired"] == plain.device.state.retired
+    assert tracer.counts["monitor.log_entries"] > 0
+    assert tracer.calls["mcu"] > 0 and tracer.calls["monitor"] > 0
+    # every wrapped name is restored on exit
+    assert cfasim.device.predict_bus is cfasim.mcu.predict_bus
+    assert not hasattr(cfasim.mcu.predict_bus, "__wrapped__")

@@ -203,8 +203,8 @@ isr:    MOV r5, #1
         st.pc = 0x9000
         step(st)                      # EINT retires
         raise_irq(st, 1)
-        _, bus = step(st)             # in-flight NOP retires with irq visible
-        assert bus.irq and not bus.irq_acc
+        _, bus = step(st)             # in-flight NOP retires with irq pending
+        assert 1 in st.pending_irq and not bus.irq_acc
         _, bus = step(st)
         assert bus.irq_acc and bus.inst is None
         assert bus.pc_next == sym["isr"]

@@ -1,9 +1,18 @@
+import pytest
+
+from helpers.progen import SMALL_LAYOUT, generate
+
+from cfasim.apps import FIXTURES
+from cfasim.asm import assemble
+from cfasim.device import Device, DeviceEvents, DeviceMode
 from cfasim.isa import Op
-from cfasim.mcu import MemoryLayout, SignalBus
-from cfasim.monitor import (FLUSH_RESERVE, BranchFsm, CfaMonitor, Metadata,
+from cfasim.mcu import NMI_LINE, MemoryLayout, SignalBus
+from cfasim.monitor import (FLUSH_RESERVE, CfaMonitor, Metadata,
                             ResetReason, TriggerKind, boundary_check,
                             is_branch_record, read_log_entries, read_metadata,
                             timer_write_check, write_metadata)
+from cfasim.rot import Mode
+from cfasim.tcb import DeviceKey
 
 LAY = MemoryLayout()
 
@@ -69,34 +78,29 @@ class TestBoundary:
 
 class TestBranchDetect:
     def test_jmp_detected(self):
-        assert is_branch_record(rec(inst=Op.JMP, pc_next=0x9100), False)
+        assert is_branch_record(rec(inst=Op.JMP, pc_next=0x9100))
 
     def test_mov_not_detected(self):
-        assert not is_branch_record(rec(inst=Op.MOV), False)
+        assert not is_branch_record(rec(inst=Op.MOV))
 
     def test_not_taken_conditional_not_detected(self):
-        assert not is_branch_record(rec(pc=0x9000, pc_next=0x9004, inst=Op.JZ), False)
+        assert not is_branch_record(rec(pc=0x9000, pc_next=0x9004, inst=Op.JZ))
 
     def test_taken_conditional_detected(self):
-        assert is_branch_record(rec(pc=0x9000, pc_next=0x9100, inst=Op.JNZ), False)
+        assert is_branch_record(rec(pc=0x9000, pc_next=0x9100, inst=Op.JNZ))
 
     def test_call_irq_forces_detection(self):
-        assert is_branch_record(rec(inst=None, pc_next=0x8000), True)
-
-    def test_fsm_call_irq_exactly_at_acceptance(self):
-        fsm = BranchFsm()
-        t0 = fsm.step(rec(irq=True, gie=True))               # Wait -> Pend
-        t1 = fsm.step(rec(irq=True, gie=True))               # holds Pend
-        t2 = fsm.step(rec(inst=None, irq=True, irq_acc=True))  # Pend -> Acc
-        t3 = fsm.step(rec())                                  # Acc -> Wait
-        assert (t0, t1, t2, t3) == (False, False, True, False)
+        # the acceptance record (the core's irq_acc, the paper's call_irq)
+        # is the jump into the handler
+        assert is_branch_record(rec(inst=None, pc_next=0x8000, irq_acc=True))
+        assert not is_branch_record(rec(inst=None, pc_next=0x8000))
 
 
 class TestLogMonitor:
     def test_entry_into_region_logged(self):
         mon, lay = fresh_monitor()
         ev = mon.observe(rec(pc=0x8FF0, pc_next=0x9000, inst=Op.CALL))
-        assert ev.hw_en and ev.entry == (0x8FF0, 0x9000)
+        assert ev.entry == (0x8FF0, 0x9000)
         assert mon.cf_size == 1
 
     def test_branch_inside_region_logged(self):
@@ -107,7 +111,7 @@ class TestLogMonitor:
     def test_branch_outside_region_ignored(self):
         mon, lay = fresh_monitor(ar=(0x9800, 0x9FFC))
         ev = mon.observe(rec(pc=0x9000, pc_next=0x9100, inst=Op.JMP))
-        assert not ev.hw_en and mon.cf_size == 0
+        assert ev.entry is None and mon.cf_size == 0
 
     def test_exit_from_region_logged(self):
         # a branch whose source lies inside the region is recorded even when
@@ -120,8 +124,7 @@ class TestLogMonitor:
         mon, lay = fresh_monitor()
         mon.observe(rec(pc=0x9000, pc_next=0x9100, inst=Op.JMP))
         assert mon.cf_size == 1
-        ev = mon.observe(rec(pc=lay.tcb_max, pc_next=0x9000, inst=Op.JMP))
-        assert ev.cleared
+        mon.observe(rec(pc=lay.tcb_max, pc_next=0x9000, inst=Op.JMP))
         # the exit jump itself lands in the fresh slice
         assert mon.cf_size == 1
         assert read_log_entries(mon.dmem, lay, 1) == [(lay.tcb_max, 0x9000)]
@@ -179,24 +182,26 @@ class TestLoopMonitor:
     def test_first_jump_latches_without_counter(self):
         mon, lay = fresh_monitor(ar=(0x9000, 0xA0FC))
         ev = drive_loop(mon, 0xA010, 0xA004, 1)[0]
-        assert ev.entry is not None and ev.counter is None
-        assert mon.loop.ctr == 1
+        assert ev.entry == (0xA010, 0xA004)
+        assert mon.cf_size == 1 and mon.loop.ctr == 1
         assert mon.loop.src_loop == 0xA010
 
     def test_repeated_backward_jump_counts(self):
         mon, lay = fresh_monitor(ar=(0x9000, 0xA0FC))
         evs = drive_loop(mon, 0xA010, 0xA004, 2)
         assert evs[0].entry == (0xA010, 0xA004)
-        assert evs[1].counter == 2 and evs[1].entry is None
-        assert mon.loop.active
+        assert evs[1].entry is None and mon.loop.ctr == 2
         assert mon.cf_size == 1   # counter slot not yet committed
+        # the counter is written in place in the slot after the jump
+        assert read_log_entries(mon.dmem, lay, 2) == [(0xA010, 0xA004),
+                                                     (0x0000, 0x0002)]
 
     def test_loop_exit_commits_counter_and_resets(self):
         mon, lay = fresh_monitor(ar=(0x9000, 0xA0FC))
         drive_loop(mon, 0xA010, 0xA004, 3)
         ev = mon.observe(rec(pc=0xA020, pc_next=0xA060, inst=Op.JMP))
-        assert ev.committed_counter and ev.entry == (0xA020, 0xA060)
-        assert not mon.loop.active and mon.loop.ctr == 1
+        assert ev.entry == (0xA020, 0xA060)
+        assert mon.loop.ctr == 1
         assert mon.cf_size == 3
         assert read_log_entries(mon.dmem, lay, 3) == [
             (0xA010, 0xA004), (0x0000, 0x0003), (0xA020, 0xA060)]
@@ -209,33 +214,62 @@ class TestLoopMonitor:
         assert entries[:2] == [(0xA010, 0xA004), (0x0000, 0x0005)]
 
 
+def drive_and_replay(image, lay, ar, start, cycles, events=None):
+    """Run the application directly (no protocol) from ``start`` with the
+    attested region set to ``ar``, until its first trigger session or for
+    ``cycles`` cycles; then replay the recorded bus trace through a fresh
+    monitor over the initial data memory.  Returns the device and the
+    replayed data memory."""
+    dev = Device(image, lay, DeviceKey(b"\x01" * 32), events=events,
+                 keep_trace=True)
+    md = read_metadata(dev.state.dmem, lay)
+    md.ar_min, md.ar_max = ar
+    write_metadata(dev.state.dmem, lay, md)
+    dmem0 = bytearray(dev.state.dmem)
+
+    dev._pending_session = None
+    dev.rot.mode = Mode.APP
+    dev.state.pc = start
+    for _ in range(cycles):
+        if dev.mode is not DeviceMode.RUN or dev._pending_session is not None:
+            break
+        dev._run_cycle()
+
+    mon = CfaMonitor(dmem0, lay)
+    for bus in dev.trace:
+        mon.observe(bus)
+    return dev, dmem0
+
+
+def assert_same_log(a, b, lay):
+    lo = lay.cflog_base - lay.dmem_base
+    assert a[lo:lo + lay.cflog_size] == b[lo:lo + lay.cflog_size]
+    assert read_metadata(a, lay) == read_metadata(b, lay)
+
+
 class TestReplayPurity:
     def test_trace_replay_reproduces_log(self):
-        from cfasim.apps import FIXTURES
-        from cfasim.asm import assemble
-        from cfasim.device import Device
-        from cfasim.tcb import DeviceKey
-
         lay = MemoryLayout()
         fx = FIXTURES["moderate"]
         built = assemble(fx.source, entry=lay.tcb_min)
-        dev = Device(built.image, lay, DeviceKey(b"\x01" * 32), keep_trace=True)
-        dmem0 = bytearray(dev.state.dmem)
-        md = read_metadata(dmem0, lay)
-        md.ar_min, md.ar_max = (built.symbols["main"], built.symbols["fin"])
-        write_metadata(dev.state.dmem, lay, md)
-        write_metadata(dmem0, lay, md)
+        s = built.symbols
+        dev, replayed = drive_and_replay(built.image, lay, (s["main"], s["fin"]),
+                                         s["main"], 40)
+        assert_same_log(dev.state.dmem, replayed, lay)
 
-        # drive the app directly (no protocol) for a window of cycles
-        dev._pending_session = None
-        dev.state.pc = built.symbols["main"]
-        for _ in range(40):
-            dev._run_cycle()
-
-        mon2 = CfaMonitor(dmem0, lay)
-        for bus in dev.trace:
-            mon2.observe(bus)
-        a, b = dev.state.dmem, dmem0
-        lo = lay.cflog_base - lay.dmem_base
-        assert a[lo:lo + lay.cflog_size] == b[lo:lo + lay.cflog_size]
-        assert read_metadata(a, lay) == read_metadata(b, lay)
+    @pytest.mark.parametrize("seed", [2, 4, 12, 13, 34])
+    def test_replay_with_interrupt_acceptances(self, seed):
+        # the acceptance records alone (irq_acc) drive the logging of jumps
+        # into handlers, so the replay needs nothing but the trace
+        prog = generate(seed)
+        lay = SMALL_LAYOUT
+        built = assemble(prog.source, entry=lay.tcb_min)
+        s = built.symbols
+        dev, replayed = drive_and_replay(
+            built.image, lay, (s["main"], s["fin"]), s["main"], 5_000,
+            events=DeviceEvents(irq_at_retire=prog.irq_at_retire))
+        accepted = [b.irq_line for b in dev.trace if b.irq_acc]
+        assert sum(line != NMI_LINE for line in accepted) >= 2
+        assert accepted[-1] == NMI_LINE        # ended in the trigger session
+        assert read_metadata(replayed, lay).cf_size > 0
+        assert_same_log(dev.state.dmem, replayed, lay)

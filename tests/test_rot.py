@@ -1,3 +1,5 @@
+import pytest
+
 from cfasim.isa import Op
 from cfasim.mcu import MemoryLayout, SignalBus, load_image
 from cfasim.monitor import ResetReason
@@ -46,12 +48,12 @@ class TestPmemProtection:
 
 class TestTcbAtomicity:
     def test_maskable_acceptance_during_tcb_resets(self):
-        bus = rec(pc=LAY.tcb_min, inst=None, irq=True, irq_acc=True, irq_line=2,
+        bus = rec(pc=LAY.tcb_min, inst=None, irq_acc=True, irq_line=2,
                   pc_next=0x9500)
         assert rot_check(bus, tcb_rot(), LAY) is ResetReason.IRQ_IN_TCB
 
     def test_nmi_acceptance_during_tcb_allowed(self):
-        bus = rec(pc=0x9000, inst=None, irq=True, irq_acc=True, irq_line=0,
+        bus = rec(pc=0x9000, inst=None, irq_acc=True, irq_line=0,
                   pc_next=LAY.tcb_min)
         assert rot_check(bus, tcb_rot(), LAY) is None
 
@@ -81,16 +83,23 @@ class TestTcbEntry:
         bus = rec(pc=0x9000, pc_next=LAY.tcb_min, inst=Op.CALL)
         assert rot_check(bus, app_rot(), LAY) is None
 
+    @pytest.mark.parametrize("pc", [LAY.tcb_min, LAY.tcb_min + 8, LAY.tcb_max])
+    def test_executing_tcb_code_in_app_mode_resets(self, pc):
+        # only a session the RoT opened may run there; the zero-filled region
+        # would otherwise carry the application to the log-clearing exit
+        bus = rec(pc=pc, pc_next=pc + 4, inst=Op.NOP)
+        assert rot_check(bus, app_rot(), LAY) is ResetReason.ILLEGAL_TCB_ENTRY
+        assert rot_check(bus, tcb_rot(), LAY) is None
+
 
 class TestOnReset:
-    def test_reset_lands_in_tcb_with_reason(self):
+    def test_reset_lands_in_tcb_and_clears_heal_latch(self):
         res = assemble("        .org 0x9000\n        HALT\n", entry=LAY.tcb_min)
         st = load_image(res.image, LAY)
         st.pc = 0x9400
         rot = app_rot()
         rot.heal_latch = True
-        on_reset(st, rot, ResetReason.CFLOG_WRITE)
+        on_reset(st, rot)
         assert st.pc == LAY.tcb_min
         assert rot.mode is Mode.TCB
         assert not rot.heal_latch
-        assert rot.reset_reason is ResetReason.CFLOG_WRITE
