@@ -14,7 +14,7 @@ from .monitor import (CfaMonitor, Metadata, ResetReason, TriggerKind,
 from .scenario import (Outcome, ScenarioConfig, ScenarioResult, StatsReport,
                        decompress_entries, run_scenario)
 from .tcb import DeviceKey, HealAction, PolicyMode, WaitPolicy
-from .verifier import (Cfg, Phase, SliceKind, VerifierConfig, Verifier,
+from .verifier import (Cfg, SliceKind, VerifierConfig, Verifier,
                        VerifySession, Violation, build_cfg, validate_slice)
 from .wire import (CfaReport, CfaResponse, decode_report, decode_response,
                    encode_report, encode_response, mac)

@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .asm import AsmResult, assemble
-from .mcu import MemoryLayout
-
 # password words: "SE", "CR", "ET", "!1"
 PW_WORDS = (0x5345, 0x4352, 0x4554, 0x2131)
 
@@ -185,11 +182,6 @@ class Fixture:
     ar_labels: tuple[str, str]
     input_words: tuple[int, ...] = ()
     patched_source: str | None = None
-
-    def build(self, layout: MemoryLayout) -> tuple[AsmResult, tuple[int, int]]:
-        res = assemble(self.source, entry=layout.tcb_min)
-        lo, hi = self.ar_labels
-        return res, (res.symbols[lo], res.symbols[hi])
 
 
 def overflow_input(symbols: dict[str, int]) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ because the endpoints rely on MACs alone.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 
@@ -35,34 +36,45 @@ class ChannelPolicy:
 
 
 @dataclass
-class _InFlight:
-    deliver_at: int
-    frame: bytes
-    seq: int
-
-
-@dataclass
 class Channel:
     policy: ChannelPolicy = field(default_factory=ChannelPolicy)
 
     def __post_init__(self):
         self._rng = random.Random(self.policy.seed)
-        self._queues: dict[str, list[_InFlight]] = {PROVER: [], VERIFIER: []}
+        # per endpoint, a heap of (deliver_at, seq, frame)
+        self._queues: dict[str, list] = {PROVER: [], VERIFIER: []}
         self._sent: dict[str, int] = {PROVER: 0, VERIFIER: 0}
         self._seq = 0
-        self.captured: list[tuple[str, bytes]] = []   # adversary's replay buffer
-        self.trace: list[str] = []                     # optional hex trace
+        # every frame offered to the channel: (cycle, endpoint, frame, injected)
+        self._log: list[tuple[int, str, bytes, bool]] = []
+
+    @property
+    def captured(self) -> list[tuple[str, bytes]]:
+        """The adversary's replay buffer: every frame sent, before the
+        adversary's own actions."""
+        return [(ep, frame) for _, ep, frame, injected in self._log if not injected]
+
+    @property
+    def trace(self) -> list[str]:
+        """Hex trace of every sent and injected frame."""
+        return [f"{cycle} =>{ep} {frame.hex()} (injected)" if injected
+                else f"{cycle} ->{ep} {frame.hex()}"
+                for cycle, ep, frame, injected in self._log]
 
     def _blacked_out(self, cycle: int) -> bool:
         return any(a <= cycle < b for a, b in self.policy.blackout_windows)
+
+    def _enqueue(self, endpoint: str, frame: bytes, deliver_at: int) -> None:
+        self._seq += 1
+        heapq.heappush(self._queues[endpoint], (deliver_at, self._seq, frame))
 
     def send(self, endpoint: str, frame: bytes, at_cycle: int) -> None:
         """Enqueue ``frame`` toward ``endpoint``, subject to the adversary."""
         if not frame:
             raise ValueError("empty frame")
         pol = self.policy
-        self.captured.append((endpoint, bytes(frame)))
-        self.trace.append(f"{at_cycle} ->{endpoint} {frame.hex()}")
+        frame = bytes(frame)
+        self._log.append((at_cycle, endpoint, frame, False))
         self._sent[endpoint] += 1
         if self._sent[endpoint] <= pol.drop_first:
             return
@@ -70,29 +82,24 @@ class Channel:
             return
         if self._rng.random() < pol.drop_prob:
             return
-        out = bytearray(frame)
         if self._rng.random() < pol.tamper_prob:
+            out = bytearray(frame)
             pos = self._rng.randrange(len(out))
             out[pos] ^= 1 + self._rng.randrange(255)
+            frame = bytes(out)
         copies = 2 if self._rng.random() < pol.dup_prob else 1
         for i in range(copies):
-            self._seq += 1
-            self._queues[endpoint].append(
-                _InFlight(at_cycle + pol.latency + i, bytes(out), self._seq))
+            self._enqueue(endpoint, frame, at_cycle + pol.latency + i)
 
     def inject(self, endpoint: str, frame: bytes, at_cycle: int) -> None:
         """Adversarial injection/replay: bypasses drop/tamper policy."""
-        self._seq += 1
-        self._queues[endpoint].append(
-            _InFlight(at_cycle + self.policy.latency, bytes(frame), self._seq))
-        self.trace.append(f"{at_cycle} =>{endpoint} {frame.hex()} (injected)")
+        frame = bytes(frame)
+        self._enqueue(endpoint, frame, at_cycle + self.policy.latency)
+        self._log.append((at_cycle, endpoint, frame, True))
 
     def deliver(self, endpoint: str, at_cycle: int) -> bytes | None:
-        """At most one frame, FIFO among frames whose latency has elapsed."""
+        """At most one frame: the earliest due, FIFO among equal times."""
         q = self._queues[endpoint]
-        ready = [f for f in q if f.deliver_at <= at_cycle]
-        if not ready:
+        if not q or q[0][0] > at_cycle:
             return None
-        first = min(ready, key=lambda f: (f.deliver_at, f.seq))
-        q.remove(first)
-        return first.frame
+        return heapq.heappop(q)[2]

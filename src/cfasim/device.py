@@ -33,6 +33,7 @@ from .tcb import (AUTH_CYCLES, HEAL_CYCLES, WAIT_POLL_CYCLES, DeviceKey,
 from .wire import CfaReport, WireError, decode_response, encode_report
 
 TCB_EXIT_CYCLES = 8
+TICK_BURST = 64         # application cycles per tick
 
 
 class DeviceMode(enum.Enum):
@@ -64,14 +65,11 @@ class DeviceEvents:
 
 @dataclass
 class DeviceStats:
-    n_t1: int = 0
-    n_t2: int = 0
-    n_t3: int = 0
+    """Counters no other record holds; report counts and log bytes are
+    read from ``Device.reports``."""
     n_violation_resets: int = 0
-    n_reports: int = 0
     n_retransmits: int = 0
     n_rejected_responses: int = 0
-    cflog_bytes_total: int = 0
     att_cycles: int = 0
     wait_cycles: int = 0
     heal_cycles: int = 0
@@ -103,7 +101,6 @@ class Device:
         self.mode = DeviceMode.RUN
         self.trace: list[SignalBus] | None = [] if keep_trace else None
         self.reports: list[CfaReport] = []
-        self.phase_log: list[str] = []
         self.last_reset: ResetReason | None = None
 
         self._pending_session: TriggerKind | None = TriggerKind.BOOT
@@ -112,7 +109,7 @@ class Device:
         self._nmi_raised_cycle: int | None = None
         self._attack_idx = 0
         self._report_frame: bytes | None = None
-        self._wait_started = 0
+        self.wait_started = 0   # cycle the current wait began
         self._last_tx = 0
         self.retired_at_last_trigger = 0
         self.last_fault: str | None = None
@@ -130,9 +127,9 @@ class Device:
         return self.mode in (DeviceMode.RUN, DeviceMode.WAIT) \
             or self._pending_session is not None
 
-    def tick(self, channel: Channel, burst: int = 64) -> None:
+    def tick(self, channel: Channel) -> None:
         """Advance the device: a pending trusted-software session, one wait
-        poll, or up to ``burst`` application cycles."""
+        poll, or up to ``TICK_BURST`` application cycles."""
         if self._pending_session is not None:
             self._session(channel)
             return
@@ -141,7 +138,7 @@ class Device:
             return
         if self.mode is not DeviceMode.RUN:
             return
-        for _ in range(burst):
+        for _ in range(TICK_BURST):
             if self.mode is not DeviceMode.RUN or self._pending_session is not None:
                 break
             self._run_cycle()
@@ -276,7 +273,6 @@ class Device:
                                 dma_en=True, dma_addr=ev.addr)
                 if self._vetoed(bus):
                     return
-                st.dma.enabled = True
                 st.dma.next_addr = ev.addr
                 st.dma.remaining = ev.count
                 st.dma.value = ev.value
@@ -300,16 +296,6 @@ class Device:
         self._pending_session = None
         st, lay = self.state, self.layout
         self.rot.mode = Mode.TCB
-        if kind is TriggerKind.TIMER:
-            self.stats.n_t1 += 1
-        elif kind is TriggerKind.LOG_FULL:
-            self.stats.n_t2 += 1
-        elif kind is TriggerKind.VIOLATION:
-            pass  # counted at reset time
-        else:
-            self.stats.n_t3 += 1
-
-        self.phase_log.append("att")
         md = read_metadata(st.dmem, lay)
         entries = read_log_entries(st.dmem, lay, md.cf_size)
         h, cost = tcb_att(self.key, bytes(st.pmem), md, entries)
@@ -317,14 +303,10 @@ class Device:
         self.stats.att_cycles += cost
         report = CfaReport(h, md, kind, tuple(entries))
         self.reports.append(report)
-        self.stats.n_reports += 1
-        self.stats.cflog_bytes_total += 4 * md.cf_size
         self._report_frame = encode_report(report)
-
-        self.phase_log.append("wait")
         channel.send(VERIFIER, self._report_frame, st.cycle)
         self.mode = DeviceMode.WAIT
-        self._wait_started = st.cycle
+        self.wait_started = st.cycle
         self._last_tx = st.cycle
 
     def _wait_poll(self, channel: Channel) -> None:
@@ -355,7 +337,7 @@ class Device:
             self.stats.n_retransmits += 1
             self._last_tx = st.cycle
         if pol.mode is not PolicyMode.STRICT and \
-                st.cycle - self._wait_started >= pol.timeout_cycles:
+                st.cycle - self.wait_started >= pol.timeout_cycles:
             if pol.mode is PolicyMode.BEST_EFFORT_RESUME:
                 self._exit_tcb()
             else:
@@ -417,7 +399,6 @@ class Device:
 
     def _heal(self, channel: Channel) -> None:
         st, lay = self.state, self.layout
-        self.phase_log.append("heal")
         st.cycle += HEAL_CYCLES
         self.stats.heal_cycles += HEAL_CYCLES
         action = self.heal_action

@@ -161,8 +161,8 @@ class ProgramImage:
 
 @dataclass
 class DmaConfig:
-    """External DMA engine: while enabled it emits one byte write per cycle."""
-    enabled: bool = False
+    """External DMA engine: while bytes remain it emits one byte write per
+    cycle."""
     next_addr: int = 0
     remaining: int = 0
     value: int = 0
@@ -359,7 +359,7 @@ def _fetch(state: McuState) -> Instr:
 
 
 def _dma_ride(state: McuState, bus: SignalBus) -> None:
-    if state.dma.enabled and state.dma.remaining > 0:
+    if state.dma.remaining > 0:
         bus.dma_en = True
         bus.dma_addr = state.dma.next_addr
 
@@ -442,14 +442,12 @@ def _sp_ok(state: McuState) -> bool:
 
 def _dma_advance(state: McuState) -> None:
     d = state.dma
-    if d.enabled and d.remaining > 0:
+    if d.remaining > 0:
         off = d.next_addr - state.layout.dmem_base
         if 0 <= off < len(state.dmem):
             state.dmem[off] = d.value & 0xFF
         d.next_addr += 1
         d.remaining -= 1
-        if d.remaining == 0:
-            d.enabled = False
 
 
 def apply_instr(state: McuState, ins: Instr, bus: SignalBus) -> None:

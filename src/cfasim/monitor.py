@@ -9,7 +9,9 @@ Five cooperating sub-monitors are evaluated against every bus record:
 * log monitor       - tracks the log fill level, clears it on trusted-software
                       exit and asserts the flush trigger
 * loop monitor      - compresses repeated backward jumps into one entry plus
-                      an iteration counter, written in place
+                      an iteration counter; the counter is rewritten in the
+                      slot at the fill level and committed when the loop is
+                      left
 * logger            - appends (source, destination) pairs to the protected
                       log region in data memory
 
@@ -156,13 +158,11 @@ class LoopState:
     src_loop: int | None = None
     dest_loop: int | None = None
     ctr: int = 1
-    counter_slot: int | None = None
 
     def reset(self) -> None:
         self.src_loop = None
         self.dest_loop = None
         self.ctr = 1
-        self.counter_slot = None
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +244,16 @@ class CfaMonitor:
             return
 
         loop = self.loop
-        if loop.ctr == 1:
-            if (src, dest) == (loop.src_loop, loop.dest_loop):
-                # second consecutive identical backward jump: start counting
-                loop.ctr = 2
-                loop.counter_slot = self.cf_size
-                self._write_counter(loop)
-                return
-            loop.src_loop, loop.dest_loop = src, dest
-            self._append(src, dest, ev)
-            return
         if (src, dest) == (loop.src_loop, loop.dest_loop):
+            # a repeat of the last logged jump: count it in the uncommitted
+            # slot at the fill level
             loop.ctr += 1
             self._write_counter(loop)
             return
-        # loop left: commit the counter slot, then log this transfer normally
-        if loop.counter_slot is not None:
-            self._set_cf_size(loop.counter_slot + 1)
-        loop.ctr = 1
-        loop.counter_slot = None
+        if loop.ctr > 1:
+            # loop left: commit the counter slot, then log this transfer
+            self._set_cf_size(self.cf_size + 1)
+            loop.ctr = 1
         loop.src_loop, loop.dest_loop = src, dest
         if self.cf_size < self.layout.max_entries:
             self._append(src, dest, ev)
@@ -274,7 +265,7 @@ class CfaMonitor:
         ev.entry = (src, dest)
 
     def _write_counter(self, loop: LoopState) -> None:
-        struct.pack_into(">HH", self.dmem, self._log_off + 4 * loop.counter_slot,
+        struct.pack_into(">HH", self.dmem, self._log_off + 4 * self.cf_size,
                          (loop.ctr >> 16) & 0xFFFF, loop.ctr & 0xFFFF)
 
     def _trigger_eval(self, bus: SignalBus) -> TriggerKind | None:

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .apps import FIXTURES, encode_input, overflow_input
 from .asm import assemble
 from .channel import Channel, ChannelPolicy, PROVER, VERIFIER
-from .device import Device, DeviceEvents, DeviceMode, DeviceStats
+from .device import Device, DeviceEvents, DeviceMode
 from .mcu import MemoryLayout, ProgramImage, render_pmem
+from .monitor import TriggerKind
 from .tcb import DeviceKey, HealAction, WaitPolicy
 from .verifier import Verifier, VerifierConfig
 from .wire import CfaReport, decode_log
@@ -24,7 +25,7 @@ DEFAULT_BUDGET = 3_000_000
 class Outcome(enum.Enum):
     COMPLETED = "completed"        # application ran to HALT
     SHUTDOWN = "shutdown"          # remediation shut the device down
-    DEADLOCK = "deadlock"          # still awaiting approval at budget end
+    DEADLOCK = "deadlock"          # at budget end, a retransmission went unanswered
     BUDGET_EXHAUSTED = "budget-exhausted"
 
 
@@ -67,24 +68,25 @@ class StatsReport:
 
     @classmethod
     def collect(cls, app: str, log_size: int, outcome: Outcome,
-                stats: DeviceStats, total_cycles: int) -> "StatsReport":
-        return cls(app, log_size, outcome, stats.n_t1, stats.n_t2, stats.n_t3,
-                   stats.n_violation_resets, stats.n_reports,
-                   stats.cflog_bytes_total, stats.att_cycles, stats.wait_cycles,
-                   stats.heal_cycles, stats.app_cycles, total_cycles)
+                device: Device) -> "StatsReport":
+        kinds = [r.trigger for r in device.reports]
+        st = device.stats
+        return cls(app, log_size, outcome, kinds.count(TriggerKind.TIMER),
+                   kinds.count(TriggerKind.LOG_FULL),
+                   kinds.count(TriggerKind.BOOT) + kinds.count(TriggerKind.REGION_END),
+                   st.n_violation_resets, len(kinds),
+                   sum(4 * r.metadata.cf_size for r in device.reports),
+                   st.att_cycles, st.wait_cycles, st.heal_cycles, st.app_cycles,
+                   device.cycle)
 
     @property
     def trigger_total(self) -> int:
         return self.n_t1 + self.n_t2 + self.n_t3 + self.n_violation_resets
 
     def kv_lines(self) -> list[str]:
-        keys = ("app", "max_cflog_bytes", "outcome", "n_t1", "n_t2", "n_t3",
-                "n_violation_resets", "n_reports", "cflog_bytes_total",
-                "att_cycles", "wait_cycles", "heal_cycles", "app_cycles",
-                "total_cycles")
-        vals = {k: getattr(self, k) for k in keys}
+        vals = {f.name: getattr(self, f.name) for f in fields(self)}
         vals["outcome"] = self.outcome.value
-        return [f"{k}={vals[k]}" for k in keys]
+        return [f"{k}={v}" for k, v in vals.items()]
 
     def table_row(self) -> str:
         return (f"{self.app:<12} {self.max_cflog_bytes:>6} {self.n_t1:>5} "
@@ -157,13 +159,13 @@ def run_image(image: ProgramImage, ar: tuple[int, int], layout: MemoryLayout,
         outcome = Outcome.COMPLETED
     elif device.mode is DeviceMode.SHUTDOWN:
         outcome = Outcome.SHUTDOWN
-    elif device.mode is DeviceMode.WAIT:
+    elif device.mode is DeviceMode.WAIT and \
+            device.cycle - device.wait_started >= device.policy.retransmit_every:
         outcome = Outcome.DEADLOCK
     else:
         outcome = Outcome.BUDGET_EXHAUSTED
 
-    stats = StatsReport.collect(app_name, layout.cflog_size, outcome,
-                                device.stats, device.cycle)
+    stats = StatsReport.collect(app_name, layout.cflog_size, outcome, device)
     return ScenarioResult(stats, outcome, list(verifier.audit),
                           list(device.reports), device, verifier, channel)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .isa import INSTR_SIZE, NO_FALLTHROUGH_OPS, DecodeError, Instr, Op, decode
 from .mcu import MemoryLayout
-from .monitor import TriggerKind
+from .monitor import Metadata, TriggerKind
 from .wire import (CfaResponse, WireError, attest_digest, decode_log,
                    decode_report, encode_response, response_auth)
 
@@ -36,7 +36,6 @@ class Cfg:
     ar_min: int
     ar_max: int
     instrs: dict[int, Instr]
-    call_targets: set[int]
     known_entries: set[int]
     isr_targets: set[int]
 
@@ -45,7 +44,7 @@ class Cfg:
 
 
 def build_cfg(binary: bytes, ar: tuple[int, int], ivt_targets: tuple[int, ...] = (),
-              pmem_base: int = 0x8000, extra_entries: tuple[int, ...] = ()) -> Cfg:
+              pmem_base: int = 0x8000) -> Cfg:
     """Disassemble the attested region of the expected binary and collect
     its entry points.  ``binary`` is full PMEM content."""
     ar_min, ar_max = ar
@@ -56,9 +55,8 @@ def build_cfg(binary: bytes, ar: tuple[int, int], ivt_targets: tuple[int, ...] =
         except DecodeError as e:
             raise CfgError(f"undecodable instruction at {addr:#06x}: {e}") from None
 
-    call_targets = {ins.imm for ins in instrs.values() if ins.op is Op.CALL}
-    known = call_targets | set(extra_entries) | {ar_min}
-    return Cfg(ar_min, ar_max, instrs, call_targets, known, set(ivt_targets))
+    known = {ins.imm for ins in instrs.values() if ins.op is Op.CALL} | {ar_min}
+    return Cfg(ar_min, ar_max, instrs, known, set(ivt_targets))
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +68,6 @@ class SliceKind(enum.Enum):
     INTERMEDIATE = "intermediate"
     LAST = "last"
     SINGLE = "single"
-
-
-class Phase(enum.Enum):
-    EXPECT_FIRST = "expect-first"
-    EXPECT_NEXT = "expect-next"
-    CLOSED = "closed"
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,7 @@ class VerifySession:
     shadow: list = field(default_factory=list)    # ints, or candidate tuples
     cursor: int | str | None = None
     pending_resume: frozenset | None = None       # candidate resume points
-    phase: Phase = Phase.EXPECT_FIRST
+    fresh: bool = True      # the next slice starts a run (FIRST or SINGLE)
     last_src: int | None = None     # src of the previous transfer, for irq attribution
     seq: int = 0
 
@@ -108,6 +100,7 @@ class VerifySession:
         self.cursor = None
         self.pending_resume = None
         self.last_src = None
+        self.fresh = True
 
 
 class _Walker:
@@ -346,7 +339,6 @@ class VerifierConfig:
     layout: MemoryLayout
     target_ar: tuple[int, int]       # region bounds issued in responses
     ivt_targets: tuple[int, ...] = ()
-    extra_entries: tuple[int, ...] = ()
     patched_pmem: bytes | None = None   # expectation after a commanded update
     patched_ar: tuple[int, int] | None = None
 
@@ -365,8 +357,7 @@ class Verifier:
         self.config = config
         self.session = VerifySession(config.expected_pmem, config.layout)
         self.graph = build_cfg(config.expected_pmem, config.target_ar,
-                               config.ivt_targets, config.layout.pmem_base,
-                               config.extra_entries)
+                               config.ivt_targets, config.layout.pmem_base)
         self.audit: list[str] = []
         # the answer to the last authentic report, resent verbatim when that
         # report is retransmitted; only one challenge is outstanding at a time
@@ -375,9 +366,12 @@ class Verifier:
 
     # -- helpers --
 
-    def _infer_kind(self, trigger) -> SliceKind:
-        fresh = self.session.phase in (Phase.EXPECT_FIRST, Phase.CLOSED)
-        if trigger == TriggerKind.REGION_END:
+    def _infer_kind(self, md: Metadata, entries) -> SliceKind:
+        """The slice kind from authenticated bytes alone: a slice ends the
+        run exactly when its last entry is the region-end jump into the
+        trusted software."""
+        fresh = self.session.fresh
+        if entries and entries[-1] == (md.ar_max, self.config.layout.tcb_min):
             return SliceKind.SINGLE if fresh else SliceKind.LAST
         return SliceKind.FIRST if fresh else SliceKind.INTERMEDIATE
 
@@ -411,7 +405,7 @@ class Verifier:
             return None
         sess.confirmed_chal = md.chal
 
-        kind = self._infer_kind(report.trigger)
+        kind = self._infer_kind(md, report.entries)
         app, reason = 1, "ok"
         if (md.ar_min, md.ar_max) != sess.issued_ar:
             app, reason = 0, "bad-ar"
@@ -421,26 +415,22 @@ class Verifier:
                 app, reason = 0, str(violation)
 
         if app == 1:
-            if report.trigger in (TriggerKind.BOOT, TriggerKind.VIOLATION):
+            # the trigger byte is read only to learn that the device restarted
+            if report.trigger in (TriggerKind.BOOT, TriggerKind.VIOLATION) \
+                    or kind in (SliceKind.LAST, SliceKind.SINGLE):
                 sess.fresh_run()
-                sess.phase = Phase.EXPECT_FIRST
-            elif kind in (SliceKind.LAST, SliceKind.SINGLE):
-                sess.fresh_run()
-                sess.phase = Phase.CLOSED
             elif report.entries:
-                sess.phase = Phase.EXPECT_NEXT
+                sess.fresh = False
         else:
             # the response commands remediation; the device restarts fresh
             sess.fresh_run()
-            sess.phase = Phase.EXPECT_FIRST
             if self.config.patched_pmem is not None:
                 sess.expected_pmem = self.config.patched_pmem
                 if self.config.patched_ar is not None:
                     self._target_ar = self.config.patched_ar
                 self.graph = build_cfg(sess.expected_pmem, self._target_ar,
                                        self.config.ivt_targets,
-                                       self.config.layout.pmem_base,
-                                       self.config.extra_entries)
+                                       self.config.layout.pmem_base)
 
         raw = self._respond(app)
         self._last = (cache_key, raw)

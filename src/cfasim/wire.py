@@ -4,7 +4,9 @@ Report frame (43 + 4*cf_size bytes):
 
     offset  0   h            32  HMAC-SHA-256 over pmem || metadata || entries
     offset 32   metadata     10  chal u32 | ar_min u16 | ar_max u16 | cf_size u16
-    offset 42   trigger       1  simulator annotation, excluded from h
+    offset 42   trigger       1  simulator annotation, excluded from h; the
+                                 verifier reads it only to learn a restart
+                                 (BOOT, VIOLATION)
     offset 43   entries       4*cf_size  (src u16 || dest u16 each)
 
 Response frame (41 bytes):

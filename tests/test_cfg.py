@@ -30,7 +30,6 @@ def test_password_app_matches_hand_listing():
     assert sym["done"] == 0x91F0
     assert sorted(cfg.instrs) == list(range(0x9100, 0x91F4, 4))
     assert (cfg.instrs[0x9100].op, cfg.instrs[0x9100].imm) == (Op.CALL, 0x9114)
-    assert cfg.call_targets == {0x9114}
     assert cfg.known_entries == {0x9100, 0x9114}
 
 

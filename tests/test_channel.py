@@ -82,6 +82,18 @@ def test_capture_and_inject_replays_verbatim():
     assert ch.deliver(PROVER, 300) == b"secret-response"
 
 
+def test_injected_frame_due_earlier_is_delivered_first():
+    ch = Channel(ChannelPolicy(latency=100))
+    ch.send(PROVER, b"queued", 50)
+    ch.inject(PROVER, b"injected", 0)
+    assert ch.deliver(PROVER, 120) == b"injected"
+    assert ch.deliver(PROVER, 120) is None
+    assert ch.deliver(PROVER, 150) == b"queued"
+    assert ch.captured == [(PROVER, b"queued")]
+    assert ch.trace == [f"50 ->{PROVER} {b'queued'.hex()}",
+                        f"0 =>{PROVER} {b'injected'.hex()} (injected)"]
+
+
 def test_empty_frame_rejected():
     ch = Channel(ChannelPolicy())
     with pytest.raises(ValueError):

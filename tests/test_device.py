@@ -1,8 +1,6 @@
 """Integration behavior of the prover device: trigger handling, resets that
 preserve the log, trusted-phase ordering, policy paths, and key confinement."""
 
-import re
-
 import pytest
 
 from cfasim.apps import FIXTURES
@@ -13,7 +11,7 @@ from cfasim.mcu import MemoryLayout
 from cfasim.monitor import ResetReason, TriggerKind
 from cfasim.scenario import (Outcome, ScenarioConfig, run_image, run_scenario,
                              _derive_key)
-from cfasim.tcb import HealAction, PolicyMode, WaitPolicy
+from cfasim.tcb import HEAL_CYCLES, HealAction, PolicyMode, WaitPolicy
 
 LAY = MemoryLayout()
 
@@ -194,8 +192,6 @@ fin:    NOP
 
 
 class TestPhaseOrder:
-    PATTERN = re.compile(r"^att wait( heal)?( att wait( heal)?)*$")
-
     @pytest.mark.parametrize("app,input_kind,heal", [
         ("few_branch", "none", HealAction.SHUTDOWN),
         ("password", "benign", HealAction.SHUTDOWN),
@@ -204,9 +200,17 @@ class TestPhaseOrder:
         ("moderate", "none", HealAction.SHUTDOWN),
     ])
     def test_phase_log_matches_protocol_order(self, app, input_kind, heal):
+        """Each trusted-software session attests once and waits for one
+        verdict; a heal follows each deny and nothing else."""
         res = run_scenario(ScenarioConfig(app=app, input_kind=input_kind,
                                           heal_action=heal, max_cflog_bytes=256))
-        assert self.PATTERN.match(" ".join(res.device.phase_log))
+        verdicts = [l for l in res.audit
+                    if "kind=?" not in l and "kind=cached" not in l]
+        assert len(verdicts) == len(res.reports)
+        assert res.stats.n_reports == res.stats.trigger_total
+        denies = [l for l in verdicts if " app=0 " in l]
+        assert res.device.stats.heal_cycles == HEAL_CYCLES * len(denies)
+        assert bool(denies) == (input_kind == "overflow")
 
 
 class TestTimerTrigger:
@@ -220,7 +224,7 @@ fin:    NOP
         HALT
 """
         result, _ = run_src(src, timer_deadline=500)
-        assert result.device.stats.n_t1 >= 1
+        assert result.stats.n_t1 >= 1
         assert result.outcome is Outcome.COMPLETED
         assert all(" app=1 " in l for l in result.audit)
 
@@ -289,7 +293,7 @@ class TestMetadataUpdatePath:
         res = run_scenario(ScenarioConfig(app="moderate", max_cflog_bytes=512))
         from cfasim.monitor import read_metadata
         md = read_metadata(res.device.state.dmem, res.device.layout)
-        assert md.chal == res.device.stats.n_reports  # one approval per report
+        assert md.chal == res.stats.n_reports  # one approval per report
 
 
 class TestHealUpdate:
@@ -494,7 +498,7 @@ class TestResponseHandling:
         # drive until the region-end report puts the device back in wait
         for _ in range(20_000):
             dev.tick(chan)
-            if dev.mode is DeviceMode.WAIT and dev.stats.n_reports == 2:
+            if dev.mode is DeviceMode.WAIT and len(dev.reports) == 2:
                 break
         assert dev.mode is DeviceMode.WAIT
         chan.inject("prv", resp, dev.cycle)   # replay of the consumed response

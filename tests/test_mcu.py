@@ -44,7 +44,7 @@ class TestLoadImage:
         st, _ = boot("        .org 0x9000\n        HALT\n")
         assert st.pc == lay.tcb_min
         assert not st.gie
-        assert not st.dma.enabled
+        assert st.dma.remaining == 0
         assert st.cycle == 0
 
     def test_entry_outside_tcb_rejected(self):
@@ -254,12 +254,12 @@ class TestReset:
         st, _ = boot("        .org 0x9000\n        EINT\n        HALT\n")
         st.pc = 0x9000
         step(st)
-        st.dma.enabled = True
+        st.dma.remaining = 3
         raise_irq(st, 1)
         reset(st)
         lay = MemoryLayout()
         assert st.pc == lay.tcb_min
-        assert not st.gie and not st.dma.enabled and not st.pending_irq
+        assert not st.gie and st.dma.remaining == 0 and not st.pending_irq
 
     def test_reset_preserves_memories(self):
         st, _ = boot("        .org 0x9000\n        HALT\n")
@@ -304,7 +304,6 @@ class TestDma:
     def test_dma_emits_one_byte_write_per_cycle(self):
         st, _ = boot("        .org 0x9000\n        NOP\n        NOP\n        HALT\n")
         st.pc = 0x9000
-        st.dma.enabled = True
         st.dma.next_addr = 0x1000
         st.dma.remaining = 2
         st.dma.value = 0x7F

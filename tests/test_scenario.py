@@ -1,11 +1,15 @@
 """Scenario-runner behavior: outcome taxonomy, statistics invariants, and
 the qualitative trigger patterns of the sample-application table."""
 
+import pytest
+
 from cfasim.asm import assemble
+from cfasim.device import DeviceMode
 from cfasim.mcu import MemoryLayout
 from cfasim.scenario import (Outcome, ScenarioConfig, StatsReport, run_image,
                              run_scenario, _derive_key)
 from cfasim.monitor import TriggerKind
+from cfasim.tcb import HealAction
 
 
 def test_every_trigger_yields_exactly_one_report():
@@ -44,6 +48,20 @@ fin:    NOP
     assert dark.outcome is Outcome.DEADLOCK
 
 
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(app="moderate", max_cflog_bytes=16),
+    ScenarioConfig(app="password", input_kind="overflow",
+                   heal_action=HealAction.REBOOT),
+], ids=["moderate-log16", "password-overflow-reboot"])
+def test_budget_end_in_a_fresh_wait_is_not_deadlock(cfg):
+    """A budget that runs out before any retransmission went unanswered
+    stops a healthy wait, not a stalled one."""
+    res = run_scenario(cfg)
+    assert res.device.mode is DeviceMode.WAIT
+    assert res.outcome is Outcome.BUDGET_EXHAUSTED
+    assert res.device.cycle - res.device.wait_started < cfg.policy.retransmit_every
+
+
 def test_periodic_trigger_reports_spinning_application():
     # the same spinning app cannot evade auditing once the timer is armed
     lay = MemoryLayout()
@@ -58,7 +76,7 @@ fin:    NOP
     res = run_image(spin.image, (spin.symbols["main"], spin.symbols["fin"]), lay,
                     key_bytes=_derive_key(0), timer_deadline=2_000,
                     cycle_budget=800_000)
-    assert res.device.stats.n_t1 >= 2
+    assert res.stats.n_t1 >= 2
     assert all(" app=1 " in l for l in res.audit)   # spinning is a valid path
 
 

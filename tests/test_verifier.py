@@ -6,8 +6,8 @@ from cfasim.apps import PASSWORD
 from cfasim.asm import assemble
 from cfasim.mcu import MemoryLayout, render_pmem
 from cfasim.scenario import Outcome, ScenarioConfig, run_scenario
-from cfasim.verifier import (Phase, SliceKind, VerifySession, Violation,
-                             build_cfg, validate_slice)
+from cfasim.verifier import (SliceKind, VerifySession, Violation, build_cfg,
+                             validate_slice)
 
 LAY = MemoryLayout()
 
@@ -95,7 +95,6 @@ class TestSliceRules:
         res, ar, cfg = pw
         sym = res.symbols
         s = session(ar)
-        s.phase = Phase.EXPECT_NEXT
         s.cursor = sym["gexit"]
         s.pending_resume = None
         s.shadow = []
@@ -108,11 +107,11 @@ class TestSliceRules:
     def test_violation_leaves_session_untouched(self, pw):
         res, ar, cfg = pw
         s = session(ar)
-        before = (list(s.shadow), s.cursor, s.phase)
+        before = (list(s.shadow), s.cursor)
         entries = benign_single_slice(res.symbols)
         entries[6] = (0x91CC, res.symbols["sense"])
         validate_slice(SliceKind.SINGLE, entries, cfg, s)
-        assert (list(s.shadow), s.cursor, s.phase) == before
+        assert (list(s.shadow), s.cursor) == before
 
 
 class TestSliceComposability:
@@ -210,6 +209,42 @@ class TestEndToEndVerdicts:
         assert " reason=stale-chal " in ver.audit[-1]
 
 
+class TestTriggerByte:
+    """Report byte 42 lies outside ``h``: the slice kind must come from the
+    authenticated entries, never from that byte."""
+
+    @pytest.mark.parametrize("app,log_size", [("few_branch", 512), ("moderate", 32)])
+    def test_flips_among_non_restart_kinds_change_no_verdict(self, app, log_size):
+        from cfasim.channel import VERIFIER
+        from cfasim.monitor import TriggerKind
+        from cfasim.verifier import Verifier
+
+        res = run_scenario(ScenarioConfig(app=app, max_cflog_bytes=log_size,
+                                          cycle_budget=10**9))
+        assert res.outcome is Outcome.COMPLETED
+        frames = [f for ep, f in res.channel.captured if ep == VERIFIER]
+
+        def replay(frames):
+            ver = Verifier(res.verifier.config)
+            for frame in frames:
+                ver.handle_report(frame)
+            return ver.audit
+
+        assert replay(frames) == res.audit
+        kinds = (TriggerKind.TIMER, TriggerKind.LOG_FULL, TriggerKind.REGION_END)
+        flips = 0
+        for i, frame in enumerate(frames):
+            if frame[42] not in kinds:
+                continue
+            for kind in kinds:
+                if kind != frame[42]:
+                    flipped = list(frames)
+                    flipped[i] = frame[:42] + bytes([kind]) + frame[43:]
+                    assert replay(flipped) == res.audit, (i, kind.name)
+                    flips += 1
+        assert flips >= 2
+
+
 class TestSliceEdgeRules:
     def test_entries_after_trigger_jump_rejected(self, pw):
         res, ar, cfg = pw
@@ -227,7 +262,6 @@ class TestSliceEdgeRules:
         res, ar, cfg = pw
         sym = res.symbols
         s = session(ar)
-        s.phase = Phase.EXPECT_NEXT
         s.pending_resume = frozenset({sym["sense"]})
         v = validate_slice(SliceKind.INTERMEDIATE,
                            [(LAY.tcb_max, sym["getpw"])], cfg, s)
