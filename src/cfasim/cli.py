@@ -13,7 +13,7 @@ import sys
 from .apps import FIXTURES
 from .asm import AsmError, assemble, disassemble_image
 from .channel import ChannelPolicy
-from .mcu import ProgramImage
+from .mcu import LayoutError, ProgramImage
 from .scenario import ScenarioConfig, StatsReport, run_scenario
 from .tcb import HealAction, PolicyMode, WaitPolicy
 
@@ -44,6 +44,8 @@ def load_config_file(path: str) -> dict[str, str]:
 
 def build_scenario_config(values: dict[str, str]) -> ScenarioConfig:
     cfg = ScenarioConfig(app=values.get("app", "few_branch"))
+    if cfg.app not in FIXTURES:
+        raise ValueError(f"unknown app {cfg.app!r} (fixtures: {', '.join(FIXTURES)})")
     if "log_size" in values:
         cfg.max_cflog_bytes = int(values["log_size"], 0)
     if "timer" in values:
@@ -72,16 +74,19 @@ def build_scenario_config(values: dict[str, str]) -> ScenarioConfig:
 
 
 def cmd_run(args) -> int:
-    if args.scenario in FIXTURES:
-        values: dict[str, str] = {"app": args.scenario}
-    else:
-        values = load_config_file(args.scenario)
-    for key in ("seed", "log_size", "timer", "policy", "heal", "input", "budget"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = str(flag)
-    cfg = build_scenario_config(values)
-    result = run_scenario(cfg)
+    try:
+        if args.scenario in FIXTURES:
+            values: dict[str, str] = {"app": args.scenario}
+        else:
+            values = load_config_file(args.scenario)
+        for key in ("seed", "log_size", "timer", "policy", "heal", "input", "budget"):
+            flag = getattr(args, key, None)
+            if flag is not None:
+                values[key] = str(flag)
+        result = run_scenario(build_scenario_config(values))
+    except (ValueError, LayoutError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     print(StatsReport.TABLE_HEADER)
     print(result.stats.table_row())
     print()

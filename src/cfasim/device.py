@@ -11,6 +11,12 @@ simulated cycle costs per phase and emits only the few bus records that the
 hardware rules care about (its metadata writes, the timer re-arm, the exit
 jump, heal-time program-memory patches and the heal's log-clearing jump), all
 of which take the same veto-then-commit path as real instructions.
+
+Protected memory changes at run time in exactly two places: ``CfaMonitor``
+writes the log slots and ``cf_size``; ``Device._tcb_write`` lands each
+trusted-software store (metadata fields, timer reload, the heal's PMEM
+patches) after its store record commits.  A cache of protected state needs
+to follow only these two write paths.
 """
 
 from __future__ import annotations
@@ -20,12 +26,13 @@ from dataclasses import dataclass, field
 
 from .channel import Channel, PROVER, VERIFIER
 from .isa import Op
-from .mcu import (FaultError, MemoryLayout, NMI_LINE, ProgramImage,
-                  SignalBus, acceptable_line, apply_acceptance, apply_instr,
-                  _fetch, load_image, predict_acceptance, predict_bus, raise_irq)
+from .mcu import (MD_AR_MIN, MD_CF_SIZE, METADATA, TIMER, FaultError,
+                  MemoryLayout, NMI_LINE, ProgramImage, SignalBus,
+                  acceptable_line, apply_acceptance, apply_instr, _fetch,
+                  load_image, predict_acceptance, predict_bus, raise_irq)
 from .monitor import (CfaMonitor, MonitorEvent, ResetReason, TriggerKind,
                       boundary_check, read_log_entries, read_metadata,
-                      timer_write_check, write_metadata)
+                      timer_write_check)
 from .rot import Mode, NMI_ACCEPT_BOUND, RotState, on_reset, rot_check
 from .tcb import (AUTH_CYCLES, HEAL_CYCLES, WAIT_POLL_CYCLES, DeviceKey,
                   HealAction, PolicyMode, WaitPolicy, authenticate_response,
@@ -160,9 +167,9 @@ class Device:
     def _commit(self, bus: SignalBus, cycles: int) -> MonitorEvent | None:
         """The one path every bus record takes: veto check, then cycle
         charge, monitors and trace.  Returns None on a veto; otherwise the
-        caller lands the record's effects, which touch neither the log nor
-        the metadata the monitors read (the trusted software's metadata
-        update lands after its last store record)."""
+        caller lands the record's effects, which never touch the log, and
+        touch the metadata only through ``_tcb_write``, whose data lands
+        after its own store record was observed."""
         if self._vetoed(bus):
             return None
         self.state.cycle += cycles
@@ -212,10 +219,7 @@ class Device:
             apply_acceptance(st, line)
         self.stats.app_cycles += 1
         if line == NMI_LINE:
-            kind = self._nmi_kind or TriggerKind.BOOT
-            self._nmi_kind = None
-            self._nmi_raised_cycle = None
-            self._enter_tcb(kind, resume_ctx)
+            self._enter_tcb(self._nmi_kind or TriggerKind.BOOT, resume_ctx)
             return
         if ev.trigger is not None:
             self._raise_trigger(ev.trigger)
@@ -233,9 +237,12 @@ class Device:
         self.state.pending_irq[NMI_LINE] = self.state.retired - 1
 
     def _enter_tcb(self, kind: TriggerKind, resume_ctx: tuple[int, bool, bool]) -> None:
+        """Open a trusted-software session; it consumes any pending trigger."""
         self.rot.mode = Mode.TCB
         self._pending_session = kind
         self._resume_ctx = resume_ctx
+        self._nmi_kind = None
+        self._nmi_raised_cycle = None
         self.retired_at_last_trigger = self.state.retired
 
     def _reset(self, reason: ResetReason | None) -> None:
@@ -247,13 +254,9 @@ class Device:
             self.last_reset = reason
         on_reset(self.state, self.rot)
         self.monitor.hw_reset()
-        self._nmi_kind = None
-        self._nmi_raised_cycle = None
         self.mode = DeviceMode.RUN
-        self._pending_session = (TriggerKind.BOOT if reason is None
-                                 else TriggerKind.VIOLATION)
-        self._resume_ctx = (self.layout.s_base, False, False)
-        self.retired_at_last_trigger = self.state.retired
+        self._enter_tcb(TriggerKind.BOOT if reason is None else TriggerKind.VIOLATION,
+                        (self.layout.s_base, False, False))
 
     # ------------------------------------------------------------------
     # adversarial hardware events
@@ -265,7 +268,7 @@ class Device:
             ev = self.events.attacks[self._attack_idx]
             self._attack_idx += 1
             st = self.state
-            pc = self.layout.tcb_min if self.rot.mode is Mode.TCB else st.pc
+            pc = st.pc      # tcb_min whenever the trusted software runs
             if ev.kind == "dma":
                 # arming the engine is checked only; its byte writes ride on
                 # the records of the cycles that follow
@@ -295,7 +298,6 @@ class Device:
         kind = self._pending_session
         self._pending_session = None
         st, lay = self.state, self.layout
-        self.rot.mode = Mode.TCB
         md = read_metadata(st.dmem, lay)
         entries = read_log_entries(st.dmem, lay, md.cf_size)
         h, cost = tcb_att(self.key, bytes(st.pmem), md, entries)
@@ -327,7 +329,7 @@ class Device:
                 resp = None
             md = read_metadata(st.dmem, self.layout)
             if resp is not None and authenticate_response(self.key, resp, md.chal):
-                self._complete_session(resp, channel)
+                self._complete_session(resp)
                 return
             self.stats.n_rejected_responses += 1
 
@@ -341,55 +343,53 @@ class Device:
             if pol.mode is PolicyMode.BEST_EFFORT_RESUME:
                 self._exit_tcb()
             else:
-                self._heal(channel)
+                self._heal()
 
-    def _complete_session(self, resp, channel: Channel) -> None:
-        self._tcb_write_metadata(resp.chal, resp.ar_min, resp.ar_max)
-        if self.mode is not DeviceMode.WAIT:
+    def _complete_session(self, resp) -> None:
+        if not self._tcb_write_metadata(resp.chal, resp.ar_min, resp.ar_max):
             return  # a veto fired during the update (should not happen)
         if resp.app == 1:
             self._exit_tcb()
         else:
-            self._heal(channel)
+            self._heal()
 
-    def _tcb_store(self, addr: int) -> bool:
-        """Commit one trusted-software store record to ``addr``; False on a
-        veto."""
-        pc = self.layout.tcb_min
-        bus = SignalBus(pc=pc, pc_prev=pc, pc_next=pc, inst=Op.MOV,
-                        w_en=True, d_addr=addr)
-        return self._commit(bus, 1) is not None
-
-    def _tcb_write_metadata(self, chal: int, ar_min: int, ar_max: int) -> None:
-        """The one legal metadata write path: performed by trusted software,
-        visible to the monitors as in-TCB store records."""
+    def _tcb_write(self, addr: int, data: bytes) -> bool:
+        """The trusted software's one store path: commit an in-TCB store
+        record to ``addr``, then land ``data`` there; False on a veto."""
         st, lay = self.state, self.layout
-        for off in (0, 4, 6):
-            if not self._tcb_store(lay.metadata_base + off):
-                return
-        md = read_metadata(st.dmem, lay)
-        md.chal, md.ar_min, md.ar_max = chal, ar_min, ar_max
-        write_metadata(st.dmem, lay, md)
+        pc = lay.tcb_min
+        if self._commit(SignalBus(pc=pc, pc_prev=pc, pc_next=pc, inst=Op.MOV,
+                                  w_en=True, d_addr=addr), 1) is None:
+            return False
+        mem, off = ((st.pmem, addr - lay.pmem_base) if lay.in_pmem(addr)
+                    else (st.dmem, addr - lay.dmem_base))
+        mem[off:off + len(data)] = data
+        return True
 
-    def _arm_timer(self) -> None:
-        st, lay = self.state, self.layout
-        if self.timer_deadline <= 0 or not self._tcb_store(lay.timer_reg):
-            return
-        off = lay.timer_reg - lay.dmem_base
-        st.dmem[off:off + 4] = self.timer_deadline.to_bytes(4, "little")
-        self.monitor.arm_timer()
+    def _tcb_write_metadata(self, chal: int, ar_min: int, ar_max: int) -> bool:
+        """The one legal metadata write path: one in-TCB store per field
+        (chal, ar_min, ar_max); ``cf_size`` stays the monitor's."""
+        raw = METADATA.pack(chal, ar_min, ar_max, 0)
+        cuts = (0, MD_AR_MIN, MD_AR_MIN + 2, MD_CF_SIZE)   # chal | ar_min | ar_max
+        return all(self._tcb_write(self.layout.metadata_base + lo, raw[lo:hi])
+                   for lo, hi in zip(cuts, cuts[1:]))
+
+    def _exit_jump(self, dest: int, cycles: int) -> bool:
+        """Commit the exit-point jump to ``dest``, which clears the log."""
+        tcb_max = self.layout.tcb_max
+        bus = SignalBus(pc=tcb_max, pc_prev=tcb_max, pc_next=dest, inst=Op.JMP)
+        return self._commit(bus, cycles) is not None
 
     def _exit_tcb(self) -> None:
-        """Leave via the fixed exit point: clears the log for the next slice
-        and logs the jump back into the attested region."""
+        """Re-arm the periodic timer, then leave via the fixed exit point,
+        which clears the log and is logged as the return into the region."""
         st, lay = self.state, self.layout
-        self._arm_timer()
-        if self.mode is not DeviceMode.WAIT:
-            return
+        if self.timer_deadline > 0:
+            if not self._tcb_write(lay.timer_reg, TIMER.pack(self.timer_deadline)):
+                return
+            self.monitor.arm_timer()
         resume, gie, z = self._resume_ctx
-        bus = SignalBus(pc=lay.tcb_max, pc_prev=lay.tcb_max, pc_next=resume,
-                        inst=Op.JMP)
-        if self._commit(bus, TCB_EXIT_CYCLES) is None:
+        if not self._exit_jump(resume, TCB_EXIT_CYCLES):
             return
         st.pc = resume
         st.pc_prev = lay.tcb_max
@@ -397,7 +397,7 @@ class Device:
         self.rot.mode = Mode.APP
         self.mode = DeviceMode.RUN
 
-    def _heal(self, channel: Channel) -> None:
+    def _heal(self) -> None:
         st, lay = self.state, self.layout
         st.cycle += HEAL_CYCLES
         self.stats.heal_cycles += HEAL_CYCLES
@@ -414,15 +414,12 @@ class Device:
                 self.rot.heal_latch = True
                 # wipe the application region first so a shorter replacement
                 # leaves no stale code behind, then write the new image
-                writes = [(a, min(a + 256, lay.pmem_end) - a, b"")
+                writes = [(a, bytes(min(a + 256, lay.pmem_end) - a))
                           for a in range(lay.s_base, lay.pmem_end, 256)]
-                writes += [(seg.base, len(seg.data), seg.data)
-                           for seg in img.segments]
-                for base, length, data in writes:
-                    if not self._tcb_store(base):
+                writes += [(seg.base, seg.data) for seg in img.segments]
+                for base, data in writes:
+                    if not self._tcb_write(base, data):
                         return
-                    off = base - lay.pmem_base
-                    st.pmem[off:off + length] = data if data else bytes(length)
                 self.rot.heal_latch = False
 
         if action is HealAction.SHUTDOWN:
@@ -432,6 +429,5 @@ class Device:
         # clears the already-audited log, so the post-heal boot does not
         # re-send it.  The jump stays inside the trusted region, so no rule
         # can veto it.
-        self._commit(SignalBus(pc=lay.tcb_max, pc_prev=lay.tcb_max,
-                               pc_next=lay.tcb_min, inst=Op.JMP), 0)
+        self._exit_jump(lay.tcb_min, 0)
         self._reset(None)

@@ -37,6 +37,14 @@ class LayoutError(MachineError):
     pass
 
 
+# Protected-record formats, each defined once: big-endian as the wire carries
+# them, except the timer reload, a little-endian word like the rest of DMEM.
+METADATA = struct.Struct(">IHHH")   # chal | ar_min | ar_max | cf_size
+MD_AR_MIN, MD_CF_SIZE = 4, 8        # field offsets; ar_max follows ar_min
+SLOT = struct.Struct(">HH")         # log slot: src | dest, or a counter's halves
+TIMER = struct.Struct("<I")         # timer reload
+
+
 @dataclass(frozen=True)
 class MemoryLayout:
     """Physical memory map.  All protected regions are pairwise disjoint; the
@@ -49,21 +57,20 @@ class MemoryLayout:
     dmem_size: int = 0x4000
     tcb_min: int = 0x8000          # trusted-software entry (boot target)
     tcb_max: int = 0x8FFC          # trusted-software exit instruction
-    metadata_base: int = 0x0100
-    metadata_size: int = 10        # chal u32 | ar_min u16 | ar_max u16 | cf_size u16 (big-endian)
+    metadata_base: int = 0x0100    # one METADATA record
     cflog_base: int = 0x0200
-    cflog_size: int = 256          # bytes; 4 bytes per entry
+    cflog_size: int = 256          # bytes; one SLOT per entry
     ivt_base: int = 0x0040         # 8 little-endian vector words
-    timer_reg: int = 0x0050        # u32 timer reload, writable only from the TCB
+    timer_reg: int = 0x0050        # TIMER reload, writable only from the TCB
     input_base: int = 0x0060       # u16 length + payload, the one I/O peripheral
     input_size: int = 0x80
 
     def __post_init__(self):
         regions = [
-            ("metadata", self.metadata_base, self.metadata_size),
+            ("metadata", self.metadata_base, METADATA.size),
             ("cflog", self.cflog_base, self.cflog_size),
             ("ivt", self.ivt_base, 2 * NUM_IRQ_LINES),
-            ("timer", self.timer_reg, 4),
+            ("timer", self.timer_reg, TIMER.size),
             ("input", self.input_base, self.input_size),
         ]
         for name, base, size in regions:
@@ -75,8 +82,8 @@ class MemoryLayout:
                     raise LayoutError(f"{na} overlaps {nb}")
         if not (self.pmem_base <= self.tcb_min <= self.tcb_max < self.pmem_end):
             raise LayoutError("TCB outside PMEM")
-        if self.cflog_size % 4:
-            raise LayoutError("cflog size must be a multiple of 4")
+        if self.cflog_size % SLOT.size:
+            raise LayoutError(f"cflog size must be a multiple of {SLOT.size}")
 
     @property
     def pmem_end(self) -> int:
@@ -93,7 +100,7 @@ class MemoryLayout:
 
     @property
     def max_entries(self) -> int:
-        return self.cflog_size // 4
+        return self.cflog_size // SLOT.size
 
     def in_pmem(self, a: int) -> bool:
         return self.pmem_base <= a < self.pmem_end
@@ -105,13 +112,13 @@ class MemoryLayout:
         return self.tcb_min <= a <= self.tcb_max
 
     def in_metadata(self, a: int) -> bool:
-        return self.metadata_base <= a < self.metadata_base + self.metadata_size
+        return self.metadata_base <= a < self.metadata_base + METADATA.size
 
     def in_cflog(self, a: int) -> bool:
         return self.cflog_base <= a < self.cflog_base + self.cflog_size
 
     def in_timer(self, a: int) -> bool:
-        return self.timer_reg <= a < self.timer_reg + 4
+        return self.timer_reg <= a < self.timer_reg + TIMER.size
 
 
 @dataclass(frozen=True)
@@ -220,8 +227,8 @@ class McuState:
                      dict(self.pending_irq), replace(self.dma))
         return c
 
-    # -- memory helpers (little-endian words; METADATA is big-endian and is
-    #    accessed only through the monitor/wire helpers) --
+    # -- memory helpers (little-endian words; the big-endian METADATA and
+    #    SLOT records are accessed only through the monitor/wire helpers) --
 
     def read16(self, addr: int) -> int:
         lay = self.layout
@@ -281,9 +288,9 @@ def load_image(image: ProgramImage, layout: MemoryLayout) -> McuState:
         raise ImageError("entry point outside TCB")
     pmem = bytearray(layout.pmem_size)
     dmem = bytearray(layout.dmem_size)
-    protected = [(layout.metadata_base, layout.metadata_size),
+    protected = [(layout.metadata_base, METADATA.size),
                  (layout.cflog_base, layout.cflog_size),
-                 (layout.timer_reg, 4)]
+                 (layout.timer_reg, TIMER.size)]
     for seg in image.segments:
         end = seg.base + len(seg.data)
         if layout.in_pmem(seg.base):

@@ -11,7 +11,9 @@ Five cooperating sub-monitors are evaluated against every bus record:
 * loop monitor      - compresses repeated backward jumps into one entry plus
                       an iteration counter; the counter is rewritten in the
                       slot at the fill level and committed when the loop is
-                      left
+                      left.  The counter saturates at ``(pmem_base << 16)
+                      - 1`` so ``wire.decode_log`` still tells it from a
+                      transfer; a further repeat commits it as a new pair
 * logger            - appends (source, destination) pairs to the protected
                       log region in data memory
 
@@ -23,11 +25,11 @@ initial memory reproduces the identical log bytes.
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass
 
 from .isa import INSTR_SIZE, BRANCH_OPS, Op
-from .mcu import MemoryLayout, SignalBus
+from .mcu import (MD_AR_MIN, MD_CF_SIZE, METADATA, SLOT, TIMER, MemoryLayout,
+                  SignalBus)
 
 # The flush trigger fires this many entries before the log is physically
 # full.  Two slots are always enough for everything that can still land
@@ -35,8 +37,6 @@ from .mcu import MemoryLayout, SignalBus
 # loop-counter commit plus the acceptance jump itself), so no transfer in
 # the attested region is ever dropped.
 FLUSH_RESERVE = 2
-
-MD_FMT = ">IHHH"  # chal, ar_min, ar_max, cf_size; big-endian, wire-identical
 
 
 class ResetReason(enum.Enum):
@@ -73,26 +73,22 @@ class Metadata:
     cf_size: int = 0
 
     def pack(self) -> bytes:
-        return struct.pack(MD_FMT, self.chal, self.ar_min, self.ar_max, self.cf_size)
-
-    @classmethod
-    def unpack(cls, raw: bytes) -> "Metadata":
-        return cls(*struct.unpack(MD_FMT, raw))
+        return METADATA.pack(self.chal, self.ar_min, self.ar_max, self.cf_size)
 
 
 def read_metadata(dmem: bytearray, layout: MemoryLayout) -> Metadata:
     off = layout.metadata_base - layout.dmem_base
-    return Metadata(*struct.unpack_from(MD_FMT, dmem, off))
+    return Metadata(*METADATA.unpack_from(dmem, off))
 
 
 def write_metadata(dmem: bytearray, layout: MemoryLayout, md: Metadata) -> None:
     off = layout.metadata_base - layout.dmem_base
-    struct.pack_into(MD_FMT, dmem, off, md.chal, md.ar_min, md.ar_max, md.cf_size)
+    METADATA.pack_into(dmem, off, md.chal, md.ar_min, md.ar_max, md.cf_size)
 
 
 def read_log_entries(dmem: bytearray, layout: MemoryLayout, count: int) -> list[tuple[int, int]]:
     off = layout.cflog_base - layout.dmem_base
-    return [struct.unpack_from(">HH", dmem, off + 4 * i) for i in range(count)]
+    return list(SLOT.iter_unpack(dmem[off:off + SLOT.size * count]))
 
 
 # ---------------------------------------------------------------------------
@@ -185,30 +181,31 @@ class CfaMonitor:
         self.layout = layout
         self.loop = LoopState()
         self.timer_count = 0     # cycles until the periodic trigger; 0 = disarmed
-        self._md_off = layout.metadata_base - layout.dmem_base
+        md_off = layout.metadata_base - layout.dmem_base
+        self._cf_off = md_off + MD_CF_SIZE
+        self._ar_off = md_off + MD_AR_MIN
         self._log_off = layout.cflog_base - layout.dmem_base
+        self._max_entries = layout.max_entries
+        self._ctr_max = (layout.pmem_base << 16) - 1
 
     # metadata field helpers (big-endian in data memory, identical to the wire)
 
     @property
     def cf_size(self) -> int:
-        o = self._md_off + 8
+        o = self._cf_off
         return (self.dmem[o] << 8) | self.dmem[o + 1]
 
     def _set_cf_size(self, v: int) -> None:
-        o = self._md_off + 8
+        o = self._cf_off
         self.dmem[o] = (v >> 8) & 0xFF
         self.dmem[o + 1] = v & 0xFF
 
     def _ar_bounds(self) -> tuple[int, int]:
-        return struct.unpack_from(">HH", self.dmem, self._md_off + 4)
-
-    def timer_reload(self) -> int:
-        off = self.layout.timer_reg - self.layout.dmem_base
-        return int.from_bytes(self.dmem[off:off + 4], "little")
+        return SLOT.unpack_from(self.dmem, self._ar_off)
 
     def arm_timer(self) -> None:
-        self.timer_count = self.timer_reload()
+        off = self.layout.timer_reg - self.layout.dmem_base
+        self.timer_count = TIMER.unpack_from(self.dmem, off)[0]
 
     def hw_reset(self) -> None:
         """Device reset: sequential monitor state clears; the log and its
@@ -239,40 +236,41 @@ class CfaMonitor:
     def _log_transfer(self, bus: SignalBus, ev: MonitorEvent) -> None:
         ar_min, ar_max = self._ar_bounds()
         src, dest = transfer_of(bus)
-        if self.cf_size >= self.layout.max_entries \
+        if self.cf_size >= self._max_entries \
                 or not (ar_min <= src <= ar_max or ar_min <= dest <= ar_max):
             return
 
         loop = self.loop
-        if (src, dest) == (loop.src_loop, loop.dest_loop):
+        if (src, dest) == (loop.src_loop, loop.dest_loop) and loop.ctr < self._ctr_max:
             # a repeat of the last logged jump: count it in the uncommitted
             # slot at the fill level
             loop.ctr += 1
             self._write_counter(loop)
             return
         if loop.ctr > 1:
-            # loop left: commit the counter slot, then log this transfer
+            # loop left, or its counter saturated: commit the counter slot,
+            # then log this transfer
             self._set_cf_size(self.cf_size + 1)
             loop.ctr = 1
         loop.src_loop, loop.dest_loop = src, dest
-        if self.cf_size < self.layout.max_entries:
+        if self.cf_size < self._max_entries:
             self._append(src, dest, ev)
 
     def _append(self, src: int, dest: int, ev: MonitorEvent) -> None:
         slot = self.cf_size
-        struct.pack_into(">HH", self.dmem, self._log_off + 4 * slot, src, dest)
+        SLOT.pack_into(self.dmem, self._log_off + SLOT.size * slot, src, dest)
         self._set_cf_size(slot + 1)
         ev.entry = (src, dest)
 
     def _write_counter(self, loop: LoopState) -> None:
-        struct.pack_into(">HH", self.dmem, self._log_off + 4 * self.cf_size,
-                         (loop.ctr >> 16) & 0xFFFF, loop.ctr & 0xFFFF)
+        SLOT.pack_into(self.dmem, self._log_off + SLOT.size * self.cf_size,
+                       loop.ctr >> 16, loop.ctr & 0xFFFF)
 
     def _trigger_eval(self, bus: SignalBus) -> TriggerKind | None:
         lay = self.layout
         ar_min, ar_max = self._ar_bounds()
         region_end = bus.inst is not None and ar_max != 0 and bus.pc == ar_max
-        flush = self.cf_size >= lay.max_entries - FLUSH_RESERVE
+        flush = self.cf_size >= self._max_entries - FLUSH_RESERVE
         timer = False
         if self.timer_count > 0 and not lay.in_tcb(bus.pc):
             self.timer_count -= 1

@@ -13,7 +13,7 @@ from .apps import FIXTURES, encode_input, overflow_input
 from .asm import assemble
 from .channel import Channel, ChannelPolicy, PROVER, VERIFIER
 from .device import Device, DeviceEvents, DeviceMode
-from .mcu import MemoryLayout, ProgramImage, render_pmem
+from .mcu import SLOT, MemoryLayout, ProgramImage, render_pmem
 from .monitor import TriggerKind
 from .tcb import DeviceKey, HealAction, WaitPolicy
 from .verifier import Verifier, VerifierConfig
@@ -43,10 +43,6 @@ class ScenarioConfig:
     events: DeviceEvents = field(default_factory=DeviceEvents)
     keep_trace: bool = False
 
-    def __post_init__(self):
-        if self.max_cflog_bytes % 4:
-            raise ValueError("log size must be a multiple of 4")
-
 
 @dataclass
 class StatsReport:
@@ -75,7 +71,7 @@ class StatsReport:
                    kinds.count(TriggerKind.LOG_FULL),
                    kinds.count(TriggerKind.BOOT) + kinds.count(TriggerKind.REGION_END),
                    st.n_violation_resets, len(kinds),
-                   sum(4 * r.metadata.cf_size for r in device.reports),
+                   sum(SLOT.size * r.metadata.cf_size for r in device.reports),
                    st.att_cycles, st.wait_cycles, st.heal_cycles, st.app_cycles,
                    device.cycle)
 
@@ -202,7 +198,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                      cycle_budget=cfg.cycle_budget, keep_trace=cfg.keep_trace)
 
 
-def decompress_entries(entries, pmem_base: int = 0x8000) -> list[tuple[int, int]]:
+def decompress_entries(entries,
+                       pmem_base: int = MemoryLayout.pmem_base) -> list[tuple[int, int]]:
     """Expand loop-counter entries: a counter with value n stands for n
     occurrences of the backward jump logged immediately before it."""
     out: list[tuple[int, int]] = []

@@ -16,6 +16,7 @@ import enum
 import hmac
 from dataclasses import dataclass
 
+from .mcu import METADATA, SLOT
 from .monitor import Metadata
 from .wire import CfaResponse, attest_digest, response_auth
 
@@ -72,7 +73,8 @@ def tcb_att(key: DeviceKey, pmem: bytes, md: Metadata,
             entries: list[tuple[int, int]]) -> tuple[bytes, int]:
     """Measurement phase: returns (digest, charged cycles)."""
     h = attest_digest(key._k, pmem, md, entries)
-    cost = ATT_BASE_CYCLES + ATT_CYCLES_PER_BYTE * (len(pmem) + 10 + 4 * len(entries))
+    cost = ATT_BASE_CYCLES + ATT_CYCLES_PER_BYTE * (
+        len(pmem) + METADATA.size + SLOT.size * len(entries))
     return h, cost
 
 

@@ -44,7 +44,7 @@ class Cfg:
 
 
 def build_cfg(binary: bytes, ar: tuple[int, int], ivt_targets: tuple[int, ...] = (),
-              pmem_base: int = 0x8000) -> Cfg:
+              pmem_base: int = MemoryLayout.pmem_base) -> Cfg:
     """Disassemble the attested region of the expected binary and collect
     its entry points.  ``binary`` is full PMEM content."""
     ar_min, ar_max = ar
@@ -92,7 +92,6 @@ class VerifySession:
     pending_resume: frozenset | None = None       # candidate resume points
     fresh: bool = True      # the next slice starts a run (FIRST or SINGLE)
     last_src: int | None = None     # src of the previous transfer, for irq attribution
-    seq: int = 0
 
     def fresh_run(self) -> None:
         """The device (re)starts executing from scratch."""
@@ -154,11 +153,11 @@ class _Walker:
         return None
 
     def _accept_interrupt(self, i: int, d: int, resumes) -> Violation | None:
-        """Jump into the trusted software or a handler at entry ``d``.
-        ``resumes`` holds every resume point consistent with the log so far
-        (an acceptance directly after a taken conditional is indistinguishable
-        from one after the next not-taken pass; the eventual return or the
-        next slice start disambiguates)."""
+        """Jump into the trusted software (``d == tcb_min``) or, otherwise,
+        into the handler entry ``d``.  ``resumes`` holds every resume point
+        consistent with the log so far (an acceptance directly after a taken
+        conditional is indistinguishable from one after the next not-taken
+        pass; the eventual return or the next slice start disambiguates)."""
         cands = frozenset(self._loc(r) if isinstance(r, int) else r
                           for r in resumes)
         if d == self.lay.tcb_min:
@@ -166,28 +165,23 @@ class _Walker:
             self.cursor = None
             self.entered_tcb = True
             return None
-        if d in self.cfg.isr_targets:
-            ints = tuple(sorted(r for r in cands if isinstance(r, int)))
-            if not ints:
-                return Violation(i, "BrokenFlow")
-            self.shadow.append(ints[0] if len(ints) == 1 else ints)
-            self.cursor = self._loc(d)
-            return None
-        return Violation(i, "UnknownEdge")
+        ints = tuple(sorted(r for r in cands if isinstance(r, int)))
+        if not ints:
+            return Violation(i, "BrokenFlow")
+        self.shadow.append(ints[0] if len(ints) == 1 else ints)
+        self.cursor = self._loc(d)
+        return None
 
     def _resume_candidates(self, i: int, s: int) -> list | Violation:
         """Possible interruption points for an acceptance whose attributed
         source is ``s`` (the last retired instruction)."""
-        cfg = self.cfg
         if s == self.last_src and not self._reachable(self.cursor, s):
             # the previous logged transfer retired and the interrupt landed
             # on the very next cycle: execution stood at its destination
             return [self.cursor]
         if not self._reachable(self.cursor, s):
             return Violation(i, "BrokenFlow")
-        ins = cfg.instrs.get(s)
-        if ins is None:
-            return Violation(i, "BrokenFlow")
+        ins = self.cfg.instrs[s]
         if ins.op in (Op.JZ, Op.JNZ):
             # a not-taken pass resumes past the conditional; if the previous
             # transfer was this same conditional taken, resuming at its
@@ -235,9 +229,7 @@ class _Walker:
 
     def counter_entry(self, i: int, count: int) -> Violation | None:
         ls, ld = self.last_pair
-        if count < 2:
-            return Violation(i, "BadCounter")
-        if self.cursor != ld or not self._reachable(ld, ls):
+        if count < 2 or self.cursor != ld or not self._reachable(ld, ls):
             return Violation(i, "BadCounter")
         # iterations 2..count retrace the identical backward jump; one extra
         # traversal proves the loop body is straight-line, the rest repeat it
@@ -277,10 +269,7 @@ class _Walker:
             if d not in cfg.known_entries:
                 return Violation(i, "IndirectTarget")
             self.shadow.append((s + INSTR_SIZE) & MASK16)
-        elif op is Op.JMP:
-            if d != ins.imm:
-                return Violation(i, "BadJumpTarget")
-        elif op in (Op.JZ, Op.JNZ):
+        elif op in (Op.JMP, Op.JZ, Op.JNZ):
             if d != ins.imm:
                 return Violation(i, "BadJumpTarget")
         elif op in (Op.RET, Op.RETI):
@@ -376,8 +365,7 @@ class Verifier:
         return SliceKind.FIRST if fresh else SliceKind.INTERMEDIATE
 
     def _audit(self, kind: str, app: int, reason: str, entries: int) -> None:
-        self.session.seq += 1
-        self.audit.append(f"seq={self.session.seq} kind={kind} app={app} "
+        self.audit.append(f"seq={len(self.audit) + 1} kind={kind} app={app} "
                           f"reason={reason} entries={entries}")
 
     def handle_report(self, frame: bytes) -> bytes | None:

@@ -17,7 +17,9 @@ Response frame (41 bytes):
     offset  7   ar_max        2
     offset  9   auth         32  HMAC-SHA-256 over chal' || ar_min || ar_max || app
 
-All integers are big-endian.
+All integers are big-endian.  Metadata and entries are the ``METADATA`` and
+``SLOT`` records of :mod:`cfasim.mcu`, byte for byte as stored in protected
+memory; every length and offset here derives from them and ``RESPONSE_HEADER``.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ import hmac as _hmac
 import struct
 from dataclasses import dataclass, field
 
+from .mcu import METADATA, SLOT
 from .monitor import Metadata, TriggerKind
 
 MAC_LEN = 32
-REPORT_FIXED = 43
-RESPONSE_LEN = 41
+REPORT_FIXED = MAC_LEN + METADATA.size + 1     # h | metadata | trigger
+RESPONSE_HEADER = struct.Struct(">BIHH")       # app | chal' | ar_min | ar_max
+RESPONSE_LEN = RESPONSE_HEADER.size + MAC_LEN
 
 
 class WireError(ValueError):
@@ -71,10 +75,7 @@ def decode_log(entries, pmem_base: int):
 
 
 def pack_entries(entries: list[tuple[int, int]]) -> bytes:
-    out = bytearray()
-    for src, dest in entries:
-        out += struct.pack(">HH", src, dest)
-    return bytes(out)
+    return b"".join(SLOT.pack(src, dest) for src, dest in entries)
 
 
 @dataclass(frozen=True)
@@ -107,15 +108,15 @@ def decode_report(raw: bytes) -> CfaReport:
     if len(raw) < REPORT_FIXED:
         raise WireError("report too short")
     h = raw[:MAC_LEN]
-    md = Metadata.unpack(raw[MAC_LEN:MAC_LEN + 10])
+    md = Metadata(*METADATA.unpack_from(raw, MAC_LEN))
+    byte = raw[REPORT_FIXED - 1]
     try:
-        trigger = TriggerKind(raw[42])
+        trigger = TriggerKind(byte)
     except ValueError:
-        raise WireError(f"bad trigger byte {raw[42]}") from None
-    if len(raw) != REPORT_FIXED + 4 * md.cf_size:
+        raise WireError(f"bad trigger byte {byte}") from None
+    if len(raw) != REPORT_FIXED + SLOT.size * md.cf_size:
         raise WireError("report length does not match cf_size")
-    entries = tuple(struct.unpack_from(">HH", raw, REPORT_FIXED + 4 * i)
-                    for i in range(md.cf_size))
+    entries = tuple(SLOT.iter_unpack(raw[REPORT_FIXED:]))
     return CfaReport(h, md, trigger, entries)
 
 
@@ -124,11 +125,11 @@ def encode_response(r: CfaResponse) -> bytes:
         raise WireError("app must be 0 or 1")
     if len(r.auth) != MAC_LEN:
         raise WireError("bad auth length")
-    return struct.pack(">BIHH", r.app, r.chal, r.ar_min, r.ar_max) + r.auth
+    return RESPONSE_HEADER.pack(r.app, r.chal, r.ar_min, r.ar_max) + r.auth
 
 
 def decode_response(raw: bytes) -> CfaResponse:
     if len(raw) != RESPONSE_LEN:
-        raise WireError("response must be 41 bytes")
-    app, chal, ar_min, ar_max = struct.unpack_from(">BIHH", raw)
-    return CfaResponse(app, chal, ar_min, ar_max, raw[9:])
+        raise WireError(f"response must be {RESPONSE_LEN} bytes")
+    app, chal, ar_min, ar_max = RESPONSE_HEADER.unpack_from(raw)
+    return CfaResponse(app, chal, ar_min, ar_max, raw[RESPONSE_HEADER.size:])

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from cfasim.cli import main
 from cfasim.scenario import ScenarioConfig, run_scenario
 
@@ -40,6 +42,21 @@ seed = 3
     rc, out = run_cli(["run", str(cfg)], capsys)
     assert rc == 0
     assert "outcome=shutdown" in out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "few_branch", "--log-size", "130"], "cflog size must be a multiple of 4"),
+    (["run", "few_branch", "--policy", "bogus"], "bad policy 'bogus'"),
+    (["run", "{cfg}"], "unknown app 'nope' (fixtures: few_branch, moderate,"),
+], ids=["log-size", "policy", "app"])
+def test_run_config_error_is_one_line(tmp_path, capsys, args, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("app = nope\n")
+    rc = main([a.format(cfg=cfg) for a in args])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_stats_sweep(capsys):

@@ -2,17 +2,19 @@ import pytest
 
 from helpers.progen import SMALL_LAYOUT, generate
 
-from cfasim.apps import FIXTURES
+from cfasim.apps import FIXTURES, delay_loop
 from cfasim.asm import assemble
 from cfasim.device import Device, DeviceEvents, DeviceMode
 from cfasim.isa import Op
-from cfasim.mcu import NMI_LINE, MemoryLayout, SignalBus
+from cfasim.mcu import NMI_LINE, MemoryLayout, SignalBus, render_pmem
 from cfasim.monitor import (FLUSH_RESERVE, CfaMonitor, Metadata,
                             ResetReason, TriggerKind, boundary_check,
                             is_branch_record, read_log_entries, read_metadata,
                             timer_write_check, write_metadata)
 from cfasim.rot import Mode
 from cfasim.tcb import DeviceKey
+from cfasim.verifier import SliceKind, VerifySession, build_cfg, validate_slice
+from cfasim.wire import decode_log
 
 LAY = MemoryLayout()
 
@@ -212,6 +214,30 @@ class TestLoopMonitor:
         mon.observe(rec(pc=0xA014, pc_next=0xA060, inst=Op.JMP))
         entries = read_log_entries(mon.dmem, lay, mon.cf_size)
         assert entries[:2] == [(0xA010, 0xA004), (0x0000, 0x0005)]
+
+    def test_counter_saturates_below_program_memory(self):
+        # a counter whose high half reaches pmem_base would decode as a
+        # transfer, so the repeat that would pass limit - 1 opens a new pair
+        res = assemble(delay_loop(3), entry=LAY.tcb_min)
+        sym = res.symbols
+        ar = (sym["main"], sym["fin"])
+        mon, lay = fresh_monitor(ar=ar)
+        pair = (sym["dloop"] + 4, sym["dloop"])
+        limit = lay.pmem_base << 16
+        mon.observe(rec(pc=lay.tcb_max, pc_next=sym["main"], inst=Op.JMP))
+        drive_loop(mon, *pair, 1)
+        mon.loop.ctr = limit - 2
+        drive_loop(mon, *pair, 3)
+        mon.observe(rec(pc=sym["fin"] + 4, pc_prev=sym["fin"], pc_next=lay.tcb_min,
+                        inst=None, irq_acc=True, irq_line=NMI_LINE))
+        entries = read_log_entries(mon.dmem, lay, mon.cf_size)
+        assert [(s, d) if c is None else c for s, d, c in
+                decode_log(entries[1:-1], lay.pmem_base)] == [pair, limit - 1, pair, 2]
+
+        s = VerifySession(b"", lay)
+        s.issued_ar = ar
+        cfg = build_cfg(render_pmem(res.image, lay), ar)
+        assert validate_slice(SliceKind.SINGLE, entries, cfg, s) is None
 
 
 def drive_and_replay(image, lay, ar, start, cycles, events=None):

@@ -71,8 +71,8 @@ isr:    RETI
     assert trace[1] == (s["isr"], 0x900C)       # RETI back to the next address
 
 
-def test_monitor_pipeline_matches_oracle_on_fixture():
-    src = """
+PIPELINE_FIXTURES = {
+    "call-loop": """
         .org 0x9000
 main:   MOV r7, #5
 loop:   CALL work
@@ -81,14 +81,38 @@ loop:   CALL work
 fin:    NOP
         HALT
 work:   RET
-"""
-    res = assemble(src, entry=SMALL_LAYOUT.tcb_min)
-    ar = (res.symbols["main"], res.symbols["fin"])
-    result = run_image(res.image, ar, SMALL_LAYOUT,
-                       key_bytes=hashlib.sha256(b"fx").digest())
-    got = []
-    for rep in result.reports:
-        ents = decompress_entries(rep.entries, SMALL_LAYOUT.pmem_base)
-        got.extend(e for e in ents
-                   if not (SMALL_LAYOUT.in_tcb(e[0]) or SMALL_LAYOUT.in_tcb(e[1])))
-    assert got == golden_region_trace(res.image, SMALL_LAYOUT, ar)
+""",
+    # CALLI and indexed MOV loads and stores; the loop counter round-trips
+    # through memory, and the direct CALL makes work a known entry
+    "calli-indexed": """
+        .org 0x9000
+main:   MOV r7, #3
+        MOV r1, #work
+        MOV r2, #0x1000
+loop:   CALLI r1
+        MOV 2(r2), r7
+        MOV r3, 2(r2)
+        SUB r3, #1
+        MOV r7, r3
+        JNZ loop
+        CALL work
+fin:    NOP
+        HALT
+work:   RET
+""",
+}
+
+
+def test_monitor_pipeline_matches_oracle_on_fixture():
+    for name, src in PIPELINE_FIXTURES.items():
+        res = assemble(src, entry=SMALL_LAYOUT.tcb_min)
+        ar = (res.symbols["main"], res.symbols["fin"])
+        result = run_image(res.image, ar, SMALL_LAYOUT,
+                           key_bytes=hashlib.sha256(b"fx").digest())
+        assert all(" app=1 " in line for line in result.audit), name
+        got = []
+        for rep in result.reports:
+            ents = decompress_entries(rep.entries, SMALL_LAYOUT.pmem_base)
+            got.extend(e for e in ents
+                       if not (SMALL_LAYOUT.in_tcb(e[0]) or SMALL_LAYOUT.in_tcb(e[1])))
+        assert got == golden_region_trace(res.image, SMALL_LAYOUT, ar), name

@@ -6,8 +6,8 @@ from cfasim.apps import PASSWORD
 from cfasim.asm import assemble
 from cfasim.mcu import MemoryLayout, render_pmem
 from cfasim.scenario import Outcome, ScenarioConfig, run_scenario
-from cfasim.verifier import (SliceKind, VerifySession, Violation, build_cfg,
-                             validate_slice)
+from cfasim.verifier import (EXTERNAL, SliceKind, VerifySession, Violation,
+                             build_cfg, validate_slice)
 
 LAY = MemoryLayout()
 
@@ -95,14 +95,13 @@ class TestSliceRules:
         res, ar, cfg = pw
         sym = res.symbols
         s = session(ar)
-        s.cursor = sym["gexit"]
-        s.pending_resume = None
+        s.pending_resume = frozenset({sym["gexit"]})
         s.shadow = []
-        # a return with nothing on the shadow: broken continuation
+        # resumed at gexit, then a return with nothing on the shadow
         v = validate_slice(SliceKind.INTERMEDIATE,
                            [(LAY.tcb_max, sym["gexit"]), (0x91CC, sym["app_main"] + 4)],
                            cfg, s)
-        assert v is not None and v.reason in ("ShadowUnderflow", "ResumeMismatch")
+        assert v == Violation(1, "ShadowUnderflow")
 
     def test_violation_leaves_session_untouched(self, pw):
         res, ar, cfg = pw
@@ -112,6 +111,73 @@ class TestSliceRules:
         entries[6] = (0x91CC, res.symbols["sense"])
         validate_slice(SliceKind.SINGLE, entries, cfg, s)
         assert (list(s.shadow), s.cursor) == before
+
+
+CALLI_PROGRAM = """
+        .org 0x9000
+start:  CALL main
+        HALT
+main:   MOV r1, #work
+        CALLI r1            ; no direct CALL names work
+        JMP fin
+work:   RET
+fin:    NOP
+"""
+
+# Enters getpw from unaudited code at 0x9000 and returns there, leaving the
+# cursor outside the region.
+LEAVE_REGION = [(0x9000, "getpw"), (0x9144, "cpdone"), (0x91A4, "gexit"),
+                (0x91CC, 0x9004)]
+
+
+def _resolve(entries, sym):
+    return [tuple(sym[x] if isinstance(x, str) else x for x in e) for e in entries]
+
+
+class TestSliceViolationTable:
+    """Hand-built slices that reach each violation the fixture runs never
+    produce; every case pins the exact index and reason."""
+
+    @pytest.mark.parametrize("kind, cursor, entries, expect", [
+        pytest.param(SliceKind.FIRST, None,
+                     [(0x9008, "app_main"), ("app_main", "cpdone")],
+                     Violation(1, "BadCallTarget"), id="call-to-other-target"),
+        pytest.param(SliceKind.FIRST, None,
+                     [(0x9008, "app_main"), ("app_main", "getpw"), (0x9144, 0x9150)],
+                     Violation(2, "BadJumpTarget"), id="conditional-to-other-target"),
+        pytest.param(SliceKind.FIRST, None,
+                     [(0x9008, "app_main"), ("app_main", "getpw"),
+                      (0x9144, "cpdone"), (0x9164, "nope")],
+                     Violation(3, "UnknownEdge"), id="transfer-from-non-branch"),
+        pytest.param(SliceKind.FIRST, None,
+                     [(0x9008, "app_main"), ("app_main", "getpw"), (0x9144, "cpdone"),
+                      (0x91A4, "gexit"), (0x91CC, 0x9104), (0x0000, 3)],
+                     Violation(5, "BadCounter"), id="counter-after-non-loop-jump"),
+        pytest.param(SliceKind.INTERMEDIATE, None, [(LAY.tcb_max, 0x9000)],
+                     Violation(0, "BadSliceStart"), id="resume-outside-region"),
+        pytest.param(SliceKind.INTERMEDIATE, None, [(0x9008, "app_main")],
+                     Violation(0, "BadSliceStart"), id="entry-without-exit-jump"),
+        pytest.param(SliceKind.INTERMEDIATE, EXTERNAL, [(0x9000, "cpdone")],
+                     Violation(0, "UnknownEdge"), id="first-entry-from-outside"),
+        pytest.param(SliceKind.INTERMEDIATE, EXTERNAL, LEAVE_REGION + [(0x9000, "nope")],
+                     Violation(4, "UnknownEdge"), id="entry-from-outside"),
+        pytest.param(SliceKind.INTERMEDIATE, EXTERNAL, LEAVE_REGION + [(0x910C, "sense")],
+                     Violation(4, "BrokenFlow"), id="source-inside-while-outside"),
+    ])
+    def test_password_slices(self, pw, kind, cursor, entries, expect):
+        res, ar, cfg = pw
+        s = session(ar)
+        s.cursor = cursor
+        assert validate_slice(kind, _resolve(entries, res.symbols), cfg, s) == expect
+
+    def test_indirect_call_to_unknown_entry(self):
+        res = assemble(CALLI_PROGRAM, entry=LAY.tcb_min)
+        sym = res.symbols
+        ar = (sym["main"], sym["fin"])
+        cfg = build_cfg(render_pmem(res.image, LAY), ar)
+        entries = [(0x9000, sym["main"]), (sym["main"] + 4, sym["work"])]
+        v = validate_slice(SliceKind.FIRST, entries, cfg, session(ar))
+        assert v == Violation(1, "IndirectTarget")
 
 
 class TestSliceComposability:
@@ -179,6 +245,23 @@ class TestEndToEndVerdicts:
         rep = CfaReport(b"\x00" * 32, Metadata(0, 0, 0, 0), TriggerKind.BOOT)
         assert ver.handle_report(encode_report(rep)) is None
         assert "bad-mac" in ver.audit[-1]
+
+    def test_foreign_region_denied_and_malformed_frame_dropped(self, pw):
+        from cfasim.monitor import Metadata, TriggerKind
+        from cfasim.verifier import Verifier, VerifierConfig
+        from cfasim.wire import CfaReport, attest_digest, decode_response, encode_report
+
+        res, ar, cfg = pw
+        key = hashlib.sha256(b"vk").digest()
+        pmem = render_pmem(res.image, LAY)
+        ver = Verifier(VerifierConfig(key=key, expected_pmem=pmem, layout=LAY,
+                                      target_ar=ar))
+        md = Metadata(0, *ar, 0)     # authentic, but the region was never issued
+        rep = CfaReport(attest_digest(key, pmem, md, []), md, TriggerKind.BOOT)
+        assert decode_response(ver.handle_report(encode_report(rep))).app == 0
+        assert ver.handle_report(b"\x00" * 10) is None
+        assert ver.audit == ["seq=1 kind=first app=0 reason=bad-ar entries=0",
+                             "seq=2 kind=? app=0 reason=bad-frame entries=0"]
 
     def test_responses_have_increasing_challenges(self):
         res = run_scenario(ScenarioConfig(app="moderate", max_cflog_bytes=512))
