@@ -2,15 +2,22 @@
 
 Grammar, one statement per line::
 
-    [label:] MNEMONIC [operand[, operand]]   [; comment]
+    [label:] MNEMONIC [operands]   [; comment]
     [label:] .org ADDRESS
     [label:] .word VALUE[, VALUE...]
 
-Operands: ``rN`` registers, ``SP`` (readable via MOV), ``#expr`` immediates,
-``&expr`` absolute addresses, ``@rN`` register-indirect, ``expr(rN)``
-indexed, and bare expressions for jump/call targets.  An expression is a
-number (any Python int literal base) or a label optionally followed by
-``+n``/``-n``.  Label resolution is two-pass, so forward references work.
+The operands of each instruction follow its form in ``isa.SYNTAX``: ``rN``
+registers, ``SP`` (readable via MOV), ``#expr`` immediates, ``&expr``
+absolute addresses, ``@rN`` register-indirect, ``expr(rN)`` indexed, and
+bare expressions for jump/call targets.  Mnemonics, the ``r`` of a register
+and ``SP`` may be written in any case, and blanks around ``,``, ``#``,
+``&``, ``@``, ``(`` and ``)`` are optional.  An expression is a number (any
+Python int literal base) or a label optionally followed by ``+n``/``-n``.
+Label resolution is two-pass, so forward references work.
+
+The disassembler lists a word that is not a canonical instruction, and a
+trailing half-word, as ``.word`` data, so every listing re-assembles to the
+bytes it came from.
 """
 
 from __future__ import annotations
@@ -18,9 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .isa import (INSTR_SIZE, Instr, Op, SP_REG, decode, format_instr,
-                  M_ABS_LOAD, M_ABS_STORE, M_IDX_LOAD, M_IDX_STORE,
-                  M_IMM, M_IND_LOAD, M_IND_STORE, M_REG)
+from .isa import (INSTR_SIZE, SP_REG, SYNTAX, DecodeError, Instr, Op, decode,
+                  format_instr)
 from .mcu import ProgramImage, Segment
 
 
@@ -38,21 +44,16 @@ class AsmResult:
 
 _LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):")
 _EXPR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*([+-]\s*\d+)?$")
-_IDX_RE = re.compile(r"^(.+)\(\s*[rR]([0-7])\s*\)$")
 
-_NO_OPERAND = {"NOP": Op.NOP, "RET": Op.RET, "RETI": Op.RETI,
-               "EINT": Op.EINT, "DINT": Op.DINT, "HALT": Op.HALT}
-_JUMPS = {"JMP": Op.JMP, "JZ": Op.JZ, "JNZ": Op.JNZ, "CALL": Op.CALL}
-_ALU = {"ADD": Op.ADD, "SUB": Op.SUB, "CMP": Op.CMP}
-
-
-def _split_statement(line: str) -> str:
-    return line.split(";", 1)[0].strip()
-
-
-def _parse_reg(tok: str) -> int | None:
-    m = re.fullmatch(r"[rR]([0-7])", tok.strip())
-    return int(m.group(1)) if m else None
+# One operand regex per SYNTAX form: its letters become the patterns below
+# (an immediate is any comma-free expression text), its other characters
+# match literally, and blanks may stand between any two of them.
+_LETTERS = {"d": r"[rR](?P<d>[0-7])", "s": r"[rR](?P<s>[0-7])",
+            "S": r"(?:[rR](?P<s>[0-7])|(?P<sp>(?i:sp)))", "i": r"(?P<i>[^,]+?)"}
+_FORMS: dict[str, list[tuple[Op, int, re.Pattern]]] = {}
+for (_op, _mode), _form in SYNTAX.items():
+    _regex = r"\s*".join(_LETTERS.get(c) or re.escape(c) for c in _form.replace(" ", ""))
+    _FORMS.setdefault(_op.name, []).append((_op, _mode, re.compile(_regex)))
 
 
 class _Pass:
@@ -75,8 +76,7 @@ class _Pass:
         name, off = m.group(1), m.group(2)
         if name not in self.symbols:
             raise AsmError(line_no, f"undefined label {name!r}")
-        value = self.symbols[name] + (int(off.replace(" ", "")) if off else 0)
-        return value
+        return self.symbols[name] + (int(off.replace(" ", "")) if off else 0)
 
     def _check16(self, value: int, line_no: int) -> int:
         if not 0 <= value <= 0xFFFF:
@@ -95,7 +95,7 @@ class _Pass:
             cur_base, cur = None, bytearray()
 
         for idx, raw in enumerate(self.lines, 1):
-            stmt = _split_statement(raw)
+            stmt = raw.split(";", 1)[0].strip()
             m = _LABEL_RE.match(stmt)
             if m:
                 label = m.group(1)
@@ -109,9 +109,8 @@ class _Pass:
             if not stmt:
                 continue
 
-            parts = stmt.split(None, 1)
-            mnem = parts[0].upper()
-            rest = parts[1] if len(parts) > 1 else ""
+            parts = stmt.split(None, 1) + [""]
+            mnem, rest = parts[0].upper(), parts[1]
 
             if mnem == ".ORG":
                 flush()
@@ -133,123 +132,53 @@ class _Pass:
                     loc += 2
                 continue
 
-            encoded = self._encode(mnem, rest, idx, collect)
-            cur += encoded
-            loc += len(encoded)
+            if mnem not in _FORMS:
+                raise AsmError(idx, f"unknown mnemonic {mnem!r}")
+            # pass 1 only needs the width; every instruction is 4 bytes
+            cur += bytes(INSTR_SIZE) if collect else self._encode(mnem, rest, idx)
+            loc += INSTR_SIZE
         flush()
         return segments
 
-    def _encode(self, mnem: str, rest: str, line_no: int, sizing: bool) -> bytes:
-        if sizing:
-            # pass 1 only needs the width; every instruction is 4 bytes
-            if mnem not in _NO_OPERAND and mnem not in _JUMPS and mnem not in _ALU \
-                    and mnem not in ("MOV", "CALLI", "PUSH", "POP"):
-                raise AsmError(line_no, f"unknown mnemonic {mnem!r}")
-            return bytes(INSTR_SIZE)
-
-        if mnem in _NO_OPERAND:
-            if rest.strip():
-                raise AsmError(line_no, f"{mnem} takes no operands")
-            return Instr(_NO_OPERAND[mnem]).encode()
-        if mnem in _JUMPS:
-            target = self._check16(self._expr(rest, line_no), line_no)
-            return Instr(_JUMPS[mnem], imm=target).encode()
-        if mnem == "CALLI":
-            reg = _parse_reg(rest)
-            if reg is None:
-                raise AsmError(line_no, "CALLI needs a register")
-            return Instr(Op.CALLI, rs=reg).encode()
-        if mnem == "PUSH":
-            reg = _parse_reg(rest)
-            if reg is None:
-                raise AsmError(line_no, "PUSH needs a register")
-            return Instr(Op.PUSH, rs=reg).encode()
-        if mnem == "POP":
-            reg = _parse_reg(rest)
-            if reg is None:
-                raise AsmError(line_no, "POP needs a register")
-            return Instr(Op.POP, rd=reg).encode()
-
-        ops = [o.strip() for o in rest.split(",")]
-        if len(ops) != 2:
-            raise AsmError(line_no, f"{mnem} needs two operands")
-        dst, src = ops
-
-        if mnem in _ALU:
-            rd = _parse_reg(dst)
-            if rd is None:
-                raise AsmError(line_no, f"{mnem} destination must be a register")
-            rs = _parse_reg(src)
-            if rs is not None:
-                return Instr(_ALU[mnem], M_REG, rd=rd, rs=rs).encode()
-            if src.startswith("#"):
-                imm = self._check16(self._expr(src[1:], line_no), line_no)
-                return Instr(_ALU[mnem], M_IMM, rd=rd, imm=imm).encode()
-            raise AsmError(line_no, f"bad {mnem} source {src!r}")
-
-        if mnem == "MOV":
-            return self._encode_mov(dst, src, line_no)
-        raise AsmError(line_no, f"unknown mnemonic {mnem!r}")
-
-    def _encode_mov(self, dst: str, src: str, line_no: int) -> bytes:
-        rd = _parse_reg(dst)
-        rs = _parse_reg(src)
-        if rd is not None:
-            if src.upper() == "SP":
-                return Instr(Op.MOV, M_REG, rd=rd, rs=SP_REG).encode()
-            if rs is not None:
-                return Instr(Op.MOV, M_REG, rd=rd, rs=rs).encode()
-            if src.startswith("#"):
-                imm = self._check16(self._expr(src[1:], line_no), line_no)
-                return Instr(Op.MOV, M_IMM, rd=rd, imm=imm).encode()
-            if src.startswith("&"):
-                imm = self._check16(self._expr(src[1:], line_no), line_no)
-                return Instr(Op.MOV, M_ABS_LOAD, rd=rd, imm=imm).encode()
-            if src.startswith("@"):
-                reg = _parse_reg(src[1:])
-                if reg is None:
-                    raise AsmError(line_no, f"bad indirect operand {src!r}")
-                return Instr(Op.MOV, M_IND_LOAD, rd=rd, rs=reg).encode()
-            m = _IDX_RE.match(src)
+    def _encode(self, mnem: str, rest: str, line_no: int) -> bytes:
+        for op, mode, regex in _FORMS[mnem]:
+            m = regex.fullmatch(rest)
             if m:
-                imm = self._check16(self._expr(m.group(1), line_no), line_no)
-                return Instr(Op.MOV, M_IDX_LOAD, rd=rd,
-                             rs=int(m.group(2)), imm=imm).encode()
-            raise AsmError(line_no, f"bad MOV source {src!r}")
-        if rs is None:
-            raise AsmError(line_no, f"bad MOV operands {dst!r}, {src!r}")
-        if dst.startswith("&"):
-            imm = self._check16(self._expr(dst[1:], line_no), line_no)
-            return Instr(Op.MOV, M_ABS_STORE, rs=rs, imm=imm).encode()
-        if dst.startswith("@"):
-            reg = _parse_reg(dst[1:])
-            if reg is None:
-                raise AsmError(line_no, f"bad indirect operand {dst!r}")
-            return Instr(Op.MOV, M_IND_STORE, rd=reg, rs=rs).encode()
-        m = _IDX_RE.match(dst)
-        if m:
-            imm = self._check16(self._expr(m.group(1), line_no), line_no)
-            return Instr(Op.MOV, M_IDX_STORE, rd=int(m.group(2)),
-                         rs=rs, imm=imm).encode()
-        raise AsmError(line_no, f"bad MOV destination {dst!r}")
+                g = m.groupdict()
+                i = g.get("i")
+                imm = 0 if i is None else self._check16(self._expr(i, line_no), line_no)
+                rs = SP_REG if g.get("sp") else int(g.get("s") or 0)
+                return Instr(op, mode, int(g.get("d") or 0), rs, imm).encode()
+        raise AsmError(line_no, f"bad operands for {mnem}: {rest!r}")
 
 
 def assemble(source: str, entry: int = 0x8000) -> AsmResult:
     """Assemble ``source`` into an image whose boot entry is ``entry``."""
-    first = _Pass(source)
-    first.run(collect=True)
-    second = _Pass(source)
-    second.symbols = first.symbols
-    segments = second.run(collect=False)
-    return AsmResult(ProgramImage(entry, tuple(segments)), dict(first.symbols))
+    passes = _Pass(source)
+    passes.run(collect=True)
+    segments = passes.run(collect=False)
+    return AsmResult(ProgramImage(entry, tuple(segments)), passes.symbols)
 
 
 def disassemble(data: bytes, base: int) -> list[tuple[int, str]]:
-    """Canonical listing of a code blob starting at address ``base``."""
+    """Canonical listing of a blob starting at address ``base``, one line per
+    4-byte word: ``.word`` data where the word is not an instruction in its
+    canonical encoding (every field its form does not print is zero) or is a
+    trailing half-word."""
     out = []
-    for off in range(0, len(data) - len(data) % INSTR_SIZE, INSTR_SIZE):
-        ins = decode(data, off)
-        out.append((base + off, format_instr(ins)))
+    for off in range(0, len(data), INSTR_SIZE):
+        raw = data[off:off + INSTR_SIZE]
+        try:
+            ins = decode(raw)
+            form = SYNTAX[ins.op, ins.mode]
+            if (ins.rd and "d" not in form) or (ins.rs and "s" not in form.lower()) \
+                    or (ins.imm and "i" not in form):
+                raise DecodeError("non-canonical encoding")
+            text = format_instr(ins)
+        except DecodeError:
+            text = ".word " + ", ".join(f"{int.from_bytes(raw[k:k + 2], 'little'):#06x}"
+                                        for k in range(0, len(raw), 2))
+        out.append((base + off, text))
     return out
 
 

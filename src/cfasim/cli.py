@@ -2,7 +2,8 @@
 print the runtime-statistics sweep.
 
 Scenario configs are flat key=value text files (see README); every key can
-also be overridden by a flag.
+also be overridden by a flag.  A failing command prints one ``error:`` line
+and exits with status 1.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ import argparse
 import sys
 
 from .apps import FIXTURES
-from .asm import AsmError, assemble, disassemble_image
+from .asm import assemble, disassemble_image
 from .channel import ChannelPolicy
-from .mcu import LayoutError, ProgramImage
-from .scenario import ScenarioConfig, StatsReport, run_scenario
+from .mcu import ImageError, LayoutError, ProgramImage
+from .scenario import INPUT_KINDS, ScenarioConfig, StatsReport, run_scenario
 from .tcb import HealAction, PolicyMode, WaitPolicy
 
 
@@ -42,7 +43,15 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
+_CONFIG_KEYS = ("app", "log_size", "timer", "policy", "heal", "input", "seed",
+                "budget", "drop", "dup", "tamper", "latency", "drop_first")
+
+
 def build_scenario_config(values: dict[str, str]) -> ScenarioConfig:
+    for key in values:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r} "
+                             f"(valid: {', '.join(_CONFIG_KEYS)})")
     cfg = ScenarioConfig(app=values.get("app", "few_branch"))
     if cfg.app not in FIXTURES:
         raise ValueError(f"unknown app {cfg.app!r} (fixtures: {', '.join(FIXTURES)})")
@@ -74,19 +83,15 @@ def build_scenario_config(values: dict[str, str]) -> ScenarioConfig:
 
 
 def cmd_run(args) -> int:
-    try:
-        if args.scenario in FIXTURES:
-            values: dict[str, str] = {"app": args.scenario}
-        else:
-            values = load_config_file(args.scenario)
-        for key in ("seed", "log_size", "timer", "policy", "heal", "input", "budget"):
-            flag = getattr(args, key, None)
-            if flag is not None:
-                values[key] = str(flag)
-        result = run_scenario(build_scenario_config(values))
-    except (ValueError, LayoutError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    if args.scenario in FIXTURES:
+        values: dict[str, str] = {"app": args.scenario}
+    else:
+        values = load_config_file(args.scenario)
+    for key in ("seed", "log_size", "timer", "policy", "heal", "input", "budget"):
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[key] = str(flag)
+    result = run_scenario(build_scenario_config(values))
     print(StatsReport.TABLE_HEADER)
     print(result.stats.table_row())
     print()
@@ -114,11 +119,7 @@ def cmd_stats(args) -> int:
 def cmd_asm(args) -> int:
     with open(args.source) as fh:
         source = fh.read()
-    try:
-        result = assemble(source, entry=int(args.entry, 0))
-    except AsmError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    result = assemble(source, entry=int(args.entry, 0))
     with open(args.output, "wb") as fh:
         fh.write(result.image.to_bytes())
     print(f"wrote {args.output} ({len(result.image.segments)} segments, "
@@ -145,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--timer", type=int)
     run_p.add_argument("--policy")
     run_p.add_argument("--heal", choices=[a.value for a in HealAction])
-    run_p.add_argument("--input", choices=["benign", "overflow", "none"])
+    run_p.add_argument("--input", choices=INPUT_KINDS)
     run_p.add_argument("--budget", type=int)
     run_p.add_argument("--audit", action="store_true", help="print the audit log")
     run_p.add_argument("--trace-frames", metavar="FILE",
@@ -167,7 +168,11 @@ def main(argv: list[str] | None = None) -> int:
     dis_p.set_defaults(func=cmd_dis)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ImageError, LayoutError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

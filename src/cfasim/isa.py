@@ -53,26 +53,24 @@ M_IND_STORE = 5  # mem16[rd] := rs
 M_IDX_LOAD = 6   # rd := mem16[rs + imm]
 M_IDX_STORE = 7  # mem16[rd + imm] := rs
 
-_MODES = {
-    Op.NOP: (0,),
-    Op.MOV: (M_IMM, M_REG, M_ABS_LOAD, M_ABS_STORE, M_IND_LOAD, M_IND_STORE,
-             M_IDX_LOAD, M_IDX_STORE),
-    Op.ADD: (M_IMM, M_REG),
-    Op.SUB: (M_IMM, M_REG),
-    Op.CMP: (M_IMM, M_REG),
-    Op.JMP: (0,),
-    Op.JZ: (0,),
-    Op.JNZ: (0,),
-    Op.CALL: (0,),
-    Op.CALLI: (0,),
-    Op.RET: (0,),
-    Op.RETI: (0,),
-    Op.PUSH: (0,),
-    Op.POP: (0,),
-    Op.EINT: (0,),
-    Op.DINT: (0,),
-    Op.HALT: (0,),
+# Operand syntax of every valid (op, mode), the one definition that decode,
+# format_instr and the assembler share.  In a form, "d" is the rd register,
+# "s" the rs register, "S" the rs register or SP (the SP_REG nibble), and "i"
+# the 16-bit immediate; every other character is literal, and blanks around
+# the literals are optional.
+SYNTAX: dict[tuple[Op, int], str] = {
+    (Op.MOV, M_IMM): "d, #i", (Op.MOV, M_REG): "d, S",
+    (Op.MOV, M_ABS_LOAD): "d, &i", (Op.MOV, M_ABS_STORE): "&i, s",
+    (Op.MOV, M_IND_LOAD): "d, @s", (Op.MOV, M_IND_STORE): "@d, s",
+    (Op.MOV, M_IDX_LOAD): "d, i(s)", (Op.MOV, M_IDX_STORE): "i(d), s",
+    **{(op, mode): form for op in (Op.ADD, Op.SUB, Op.CMP)
+       for mode, form in ((M_IMM, "d, #i"), (M_REG, "d, s"))},
+    **{(op, 0): "i" for op in (Op.JMP, Op.JZ, Op.JNZ, Op.CALL)},
+    (Op.CALLI, 0): "s", (Op.PUSH, 0): "s", (Op.POP, 0): "d",
+    **{(op, 0): "" for op in (Op.NOP, Op.RET, Op.RETI, Op.EINT, Op.DINT, Op.HALT)},
 }
+
+_MODES = {op: tuple(m for o, m in SYNTAX if o is op) for op in Op}
 
 # Instructions that transfer control when they retire.  Conditional jumps
 # count only when taken; the monitor infers that from pc_next != pc + 4.
@@ -113,37 +111,16 @@ def decode(raw: bytes | bytearray | memoryview, offset: int = 0) -> Instr:
     if mode not in _MODES[op]:
         raise DecodeError(f"invalid mode {mode} for {op.name}")
     rd, rs = b1 >> 4, b1 & 0xF
-    if rd > 7 or (rs > 7 and not (op is Op.MOV and mode == M_REG and rs == SP_REG)):
+    if rd > 7 or (rs > 7 and not (rs == SP_REG and "S" in SYNTAX[op, mode])):
         raise DecodeError(f"invalid register nibble in {op.name}")
     return Instr(op, mode, rd, rs, imm)
 
 
 def format_instr(ins: Instr) -> str:
     """Canonical assembly text for one instruction (round-trips through the assembler)."""
-    op = ins.op
-    if op in (Op.NOP, Op.RET, Op.RETI, Op.EINT, Op.DINT, Op.HALT):
-        return op.name
-    if op is Op.MOV:
-        rd, rs, imm = f"r{ins.rd}", f"r{ins.rs}", ins.imm
-        return {
-            M_IMM: f"MOV {rd}, #{imm:#x}",
-            M_REG: f"MOV {rd}, SP" if ins.rs == SP_REG else f"MOV {rd}, {rs}",
-            M_ABS_LOAD: f"MOV {rd}, &{imm:#x}",
-            M_ABS_STORE: f"MOV &{imm:#x}, {rs}",
-            M_IND_LOAD: f"MOV {rd}, @{rs}",
-            M_IND_STORE: f"MOV @{rd}, {rs}",
-            M_IDX_LOAD: f"MOV {rd}, {imm:#x}({rs})",
-            M_IDX_STORE: f"MOV {imm:#x}({rd}), {rs}",
-        }[ins.mode]
-    if op in (Op.ADD, Op.SUB, Op.CMP):
-        src = f"#{ins.imm:#x}" if ins.mode == M_IMM else f"r{ins.rs}"
-        return f"{op.name} r{ins.rd}, {src}"
-    if op in (Op.JMP, Op.JZ, Op.JNZ, Op.CALL):
-        return f"{op.name} {ins.imm:#x}"
-    if op is Op.CALLI:
-        return f"CALLI r{ins.rs}"
-    if op is Op.PUSH:
-        return f"PUSH r{ins.rs}"
-    if op is Op.POP:
-        return f"POP r{ins.rd}"
-    raise AssertionError(op)
+    form = SYNTAX[ins.op, ins.mode]
+    if not form:
+        return ins.op.name
+    fields = {"d": f"r{ins.rd}", "s": f"r{ins.rs}", "i": f"{ins.imm:#x}",
+              "S": "SP" if ins.rs == SP_REG else f"r{ins.rs}"}
+    return f"{ins.op.name} " + "".join(fields.get(c, c) for c in form)

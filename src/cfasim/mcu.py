@@ -13,7 +13,7 @@ ever landing in memory.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .isa import INSTR_SIZE, DecodeError, Instr, Op, SP_REG, decode
 from .isa import (M_ABS_LOAD, M_ABS_STORE, M_IDX_LOAD, M_IDX_STORE,
@@ -219,13 +219,6 @@ class McuState:
     retired: int = 0
     pending_irq: dict[int, int] = field(default_factory=dict)  # line -> retired count at raise
     dma: DmaConfig = field(default_factory=DmaConfig)
-
-    def copy(self) -> "McuState":
-        c = McuState(self.layout, bytearray(self.pmem), bytearray(self.dmem),
-                     self.pc, self.pc_prev, list(self.regs), self.sp, self.z,
-                     self.gie, self.halted, self.cycle, self.retired,
-                     dict(self.pending_irq), replace(self.dma))
-        return c
 
     # -- memory helpers (little-endian words; the big-endian METADATA and
     #    SLOT records are accessed only through the monitor/wire helpers) --

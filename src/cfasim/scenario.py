@@ -20,6 +20,7 @@ from .verifier import Verifier, VerifierConfig
 from .wire import CfaReport, decode_log
 
 DEFAULT_BUDGET = 3_000_000
+INPUT_KINDS = ("benign", "overflow", "none")
 
 
 class Outcome(enum.Enum):
@@ -36,7 +37,7 @@ class ScenarioConfig:
     timer_deadline_cycles: int = 1_000_000
     policy: WaitPolicy = field(default_factory=WaitPolicy)
     channel: ChannelPolicy = field(default_factory=ChannelPolicy)
-    input_kind: str = "benign"          # benign | overflow | none (password app)
+    input_kind: str = "benign"          # one of INPUT_KINDS (read by the password app)
     heal_action: HealAction = HealAction.SHUTDOWN
     seed: int = 0
     cycle_budget: int = DEFAULT_BUDGET
@@ -168,6 +169,9 @@ def run_image(image: ProgramImage, ar: tuple[int, int], layout: MemoryLayout,
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run one built-in fixture scenario to completion."""
+    if cfg.input_kind not in INPUT_KINDS:
+        raise ValueError(f"unknown input kind {cfg.input_kind!r} "
+                         f"({' | '.join(INPUT_KINDS)})")
     layout = MemoryLayout(cflog_size=cfg.max_cflog_bytes)
     fixture = FIXTURES[cfg.app]
     built = assemble(fixture.source, entry=layout.tcb_min)

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from cfasim.apps import PASSWORD
 from cfasim.asm import AsmError, assemble, disassemble, disassemble_image
 from cfasim.isa import INSTR_SIZE
+from cfasim.mcu import Segment
 
 
 def test_two_instruction_segment_is_eight_bytes():
@@ -75,6 +77,31 @@ def test_code_before_org_rejected():
         assemble("        NOP\n")
 
 
+@pytest.mark.parametrize("stmt, encoding", [
+    ("mov R1 , # 3", "08100300"),
+    ("MOV r1, sp", "09180000"),
+    ("MOV r6 , 0x4 ( r2 )", "0e620400"),
+    ("MOV & 0x1000 , r4", "0b040010"),
+    ("MOV @ r2, r5", "0d250000"),
+    ("JMP lab - 4", "2800fc8f"),
+    ("calli R3", "48030000"),
+    ("add r1,r2", "11120000"),
+])
+def test_accepted_spelling_encodes(stmt, encoding):
+    res = assemble(f"        .org 0x9000\nlab:    {stmt}\n")
+    assert res.image.segments[0].data.hex() == encoding
+
+
+@pytest.mark.parametrize("stmt", [
+    "ADD r1, SP", "MOV SP, r1", "MOV r1, 5", "NOP r1",
+    "CALLI 0x9000", "PUSH #1", "POP SP", "MOV r1, r2, r3",
+    "MOV r9, r1", "CMP #1, r1", "MOV @r1, #2", "JMP",
+])
+def test_malformed_statement_rejected(stmt):
+    with pytest.raises(AsmError):
+        assemble(f"        .org 0x9000\n        {stmt}\n")
+
+
 def test_disassemble_roundtrips_reassembly():
     source = """
         .org 0x9000
@@ -112,13 +139,47 @@ def test_disassemble_roundtrips_reassembly():
     assert second.image.segments[0].data == first.image.segments[0].data
 
 
+def _relisted(seg):
+    """Re-assemble the listing of one segment at its own base."""
+    listing = disassemble(seg.data, seg.base)
+    return assemble(f"        .org {seg.base:#x}\n" + "".join(
+        f"        {text}\n" for _, text in listing)).image.segments
+
+
+IVT_PROGRAM = """
+        .org 0x9000
+main:   EINT
+        NOP
+fin:    NOP
+        HALT
+h1:     RETI
+h2:     RETI
+        .org 0x0042
+        .word h1, h2
+"""
+
+
 def test_password_app_roundtrips():
-    first = assemble(PASSWORD)
-    for seg in first.image.segments:
-        listing = disassemble(seg.data, seg.base)
-        rebuilt = assemble(f"        .org {seg.base:#x}\n" + "".join(
-            f"        {text}\n" for _, text in listing))
-        assert rebuilt.image.segments[0].data == seg.data
+    for seg in assemble(PASSWORD).image.segments:
+        assert _relisted(seg) == (seg,)
+
+
+def test_listing_of_data_words_reassembles():
+    image = assemble(IVT_PROGRAM).image
+    assert (0x42, ".word 0x9010, 0x9014") in disassemble_image(image)
+    for seg in image.segments:
+        assert _relisted(seg) == (seg,)
+
+
+def test_trailing_half_word_listed():
+    assert disassemble(b"\x10\x90", 0x42) == [(0x42, ".word 0x9010")]
+
+
+@given(st.binary(min_size=1, max_size=32).map(lambda b: b[:len(b) // 2 * 2]))
+def test_any_listing_reassembles(data):
+    if data:
+        seg = Segment(0x9000, data)
+        assert _relisted(seg) == (seg,)
 
 
 def test_addresses_advance_by_instruction_size():

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from cfasim.cli import main
+from test_asm import IVT_PROGRAM
 from cfasim.scenario import ScenarioConfig, run_scenario
 
 
@@ -59,6 +60,45 @@ def test_run_config_error_is_one_line(tmp_path, capsys, args, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("app = password\ninput = benigm\n", "unknown input kind 'benigm'"),
+    ("app = password\ninput = Benign\n", "unknown input kind 'Benign'"),
+    ("app = few_branch\ninput = overflw\n", "unknown input kind 'overflw'"),
+    ("app = few_branch\nlog-size = 16\n", "unknown config key 'log-size' (valid: app,"),
+    ("app = few_branch\ntimer_deadline = 5\n", "unknown config key 'timer_deadline'"),
+], ids=["typo", "case", "no-input-app", "dash-key", "long-key"])
+def test_config_file_rejects_what_it_does_not_understand(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    rc = main(["run", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_scenario_rejects_unknown_input_kind():
+    with pytest.raises(ValueError, match="unknown input kind 'Benign'"):
+        run_scenario(ScenarioConfig(app="password", input_kind="Benign"))
+
+
+@pytest.mark.parametrize("args, message", [
+    (["dis", "{tmp}/notimage.tmcu"], "bad magic"),
+    (["dis", "{tmp}/missing.tmcu"], "No such file"),
+    (["asm", "{tmp}/missing.asm", "{tmp}/out.tmcu"], "No such file"),
+    (["run", "{tmp}/missing.cfg"], "No such file"),
+    (["asm", "{tmp}/prog.asm", "{tmp}/out.tmcu", "--entry", "zz"], "invalid literal"),
+], ids=["dis-not-image", "dis-missing", "asm-missing", "run-missing", "asm-entry"])
+def test_command_error_is_one_line(tmp_path, capsys, args, message):
+    (tmp_path / "notimage.tmcu").write_bytes(b"not an image")
+    (tmp_path / "prog.asm").write_text("        .org 0x9000\n        HALT\n")
+    rc = main([a.format(tmp=tmp_path) for a in args])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_stats_sweep(capsys):
     rc, out = run_cli(["stats"], capsys)
     assert rc == 0
@@ -82,6 +122,17 @@ loop:   SUB r0, #1
     assert rc == 0
     assert "0x9000: MOV r0, #0x5" in out
     assert "JNZ 0x9004" in out
+
+
+def test_asm_dis_lists_data_words(tmp_path, capsys):
+    src = tmp_path / "ivt.asm"
+    src.write_text(IVT_PROGRAM)
+    out_img = tmp_path / "ivt.tmcu"
+    rc, _ = run_cli(["asm", str(src), str(out_img)], capsys)
+    assert rc == 0
+    rc, out = run_cli(["dis", str(out_img)], capsys)
+    assert rc == 0
+    assert "0x0042: .word 0x9010, 0x9014" in out
 
 
 def test_asm_error_reported(tmp_path, capsys):

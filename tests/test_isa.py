@@ -58,6 +58,34 @@ def test_format_assemble_roundtrip(ins):
     assert image.segments[0].data == ins.encode()
 
 
+VALID_PAIRS = [(op, mode) for op in sorted(VALID_MODES, key=int)
+               for mode in VALID_MODES[op]]
+
+
+def test_decode_accepts_exactly_the_valid_modes():
+    valid = {(op << 3) | mode for op, mode in VALID_PAIRS}
+    for b0 in range(256):
+        raw = bytes([b0, 0, 0, 0])
+        if b0 in valid:
+            ins = decode(raw)
+            assert (ins.op << 3) | ins.mode == b0
+        else:
+            with pytest.raises(DecodeError):
+                decode(raw)
+
+
+@pytest.mark.parametrize("op, mode", VALID_PAIRS,
+                         ids=[f"{op.name}-{mode}" for op, mode in VALID_PAIRS])
+def test_extreme_fields_format_and_reassemble(op, mode):
+    use_rd, use_rs, use_imm = _uses(op, mode)
+    rs_values = [7, SP_REG] if (op, mode) == (Op.MOV, M_REG) else [7]
+    for rs in rs_values if use_rs else [0]:
+        for imm in (0, 0xFFFF) if use_imm else (0,):
+            ins = Instr(op, mode, 7 if use_rd else 0, rs, imm)
+            src = f"        .org 0x9000\n        {format_instr(ins)}\n"
+            assert assemble(src).image.segments[0].data == ins.encode()
+
+
 def test_zero_bytes_decode_as_nop():
     assert decode(bytes(4)).op is Op.NOP
 

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from cfasim.asm import assemble
@@ -274,8 +276,8 @@ class TestReset:
 
     def test_reset_idempotent_modulo_cycles(self):
         st, _ = boot("        .org 0x9000\n        HALT\n")
-        a = reset(st.copy())
-        b = reset(reset(st.copy()))
+        a = reset(copy.deepcopy(st))
+        b = reset(reset(copy.deepcopy(st)))
         a.cycle = b.cycle = 0
         assert a.pc == b.pc and a.regs == b.regs and a.sp == b.sp
         assert bytes(a.dmem) == bytes(b.dmem)
