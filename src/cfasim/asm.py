@@ -76,7 +76,7 @@ class _Pass:
         name, off = m.group(1), m.group(2)
         if name not in self.symbols:
             raise AsmError(line_no, f"undefined label {name!r}")
-        return self.symbols[name] + (int(off.replace(" ", "")) if off else 0)
+        return self.symbols[name] + (int("".join(off.split())) if off else 0)
 
     def _check16(self, value: int, line_no: int) -> int:
         if not 0 <= value <= 0xFFFF:

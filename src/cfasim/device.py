@@ -16,7 +16,8 @@ Protected memory changes at run time in exactly two places: ``CfaMonitor``
 writes the log slots and ``cf_size``; ``Device._tcb_write`` lands each
 trusted-software store (metadata fields, timer reload, the heal's PMEM
 patches) after its store record commits.  A cache of protected state needs
-to follow only these two write paths.
+to follow only these two write paths.  Every PMEM store, the heal's patches
+included, lands through ``McuState.store``.
 """
 
 from __future__ import annotations
@@ -356,14 +357,11 @@ class Device:
     def _tcb_write(self, addr: int, data: bytes) -> bool:
         """The trusted software's one store path: commit an in-TCB store
         record to ``addr``, then land ``data`` there; False on a veto."""
-        st, lay = self.state, self.layout
-        pc = lay.tcb_min
+        pc = self.layout.tcb_min
         if self._commit(SignalBus(pc=pc, pc_prev=pc, pc_next=pc, inst=Op.MOV,
                                   w_en=True, d_addr=addr), 1) is None:
             return False
-        mem, off = ((st.pmem, addr - lay.pmem_base) if lay.in_pmem(addr)
-                    else (st.dmem, addr - lay.dmem_base))
-        mem[off:off + len(data)] = data
+        self.state.store(addr, data)
         return True
 
     def _tcb_write_metadata(self, chal: int, ar_min: int, ar_max: int) -> bool:

@@ -37,6 +37,15 @@ class LayoutError(MachineError):
     pass
 
 
+class FaultError(MachineError):
+    """Execution fault (illegal opcode, misaligned pc, stack fault, unmapped
+    access); the surrounding system routes it into a reset."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
 # Protected-record formats, each defined once: big-endian as the wire carries
 # them, except the timer reload, a little-endian word like the rest of DMEM.
 METADATA = struct.Struct(">IHHH")   # chal | ar_min | ar_max | cf_size
@@ -47,51 +56,38 @@ TIMER = struct.Struct("<I")         # timer reload
 
 @dataclass(frozen=True)
 class MemoryLayout:
-    """Physical memory map.  All protected regions are pairwise disjoint; the
-    trusted region lives in PMEM, metadata / control-flow log / IVT / the
-    memory-mapped I/O words live in DMEM."""
+    """Physical memory map.  Every region bound is fixed; only the PMEM size,
+    the end of the trusted region (TCB) and the log size can be set.  The
+    trusted region opens PMEM; metadata, control-flow log, IVT and the
+    memory-mapped I/O words are pairwise disjoint regions of DMEM."""
 
-    pmem_base: int = 0x8000
     pmem_size: int = 0x8000
-    dmem_base: int = 0x0000
-    dmem_size: int = 0x4000
-    tcb_min: int = 0x8000          # trusted-software entry (boot target)
     tcb_max: int = 0x8FFC          # trusted-software exit instruction
-    metadata_base: int = 0x0100    # one METADATA record
-    cflog_base: int = 0x0200
     cflog_size: int = 256          # bytes; one SLOT per entry
-    ivt_base: int = 0x0040         # 8 little-endian vector words
-    timer_reg: int = 0x0050        # TIMER reload, writable only from the TCB
-    input_base: int = 0x0060       # u16 length + payload, the one I/O peripheral
-    input_size: int = 0x80
+
+    pmem_base = 0x8000
+    dmem_base = 0x0000
+    dmem_size = 0x4000
+    dmem_end = dmem_base + dmem_size
+    tcb_min = 0x8000               # trusted-software entry (boot target)
+    metadata_base = 0x0100         # one METADATA record
+    cflog_base = 0x0200
+    ivt_base = 0x0040              # 8 little-endian vector words
+    timer_reg = 0x0050             # TIMER reload, writable only from the TCB
+    input_base = 0x0060            # u16 length + payload, the one I/O peripheral
+    input_size = 0x80
 
     def __post_init__(self):
-        regions = [
-            ("metadata", self.metadata_base, METADATA.size),
-            ("cflog", self.cflog_base, self.cflog_size),
-            ("ivt", self.ivt_base, 2 * NUM_IRQ_LINES),
-            ("timer", self.timer_reg, TIMER.size),
-            ("input", self.input_base, self.input_size),
-        ]
-        for name, base, size in regions:
-            if not (self.dmem_base <= base and base + size <= self.dmem_end):
-                raise LayoutError(f"{name} region outside DMEM")
-        for i, (na, ba, sa) in enumerate(regions):
-            for nb, bb, sb in regions[i + 1:]:
-                if ba < bb + sb and bb < ba + sa:
-                    raise LayoutError(f"{na} overlaps {nb}")
-        if not (self.pmem_base <= self.tcb_min <= self.tcb_max < self.pmem_end):
+        if not (self.tcb_min <= self.tcb_max < self.pmem_end):
             raise LayoutError("TCB outside PMEM")
+        if self.cflog_base + self.cflog_size > self.dmem_end:
+            raise LayoutError("cflog region outside DMEM")
         if self.cflog_size % SLOT.size:
             raise LayoutError(f"cflog size must be a multiple of {SLOT.size}")
 
     @property
     def pmem_end(self) -> int:
         return self.pmem_base + self.pmem_size
-
-    @property
-    def dmem_end(self) -> int:
-        return self.dmem_base + self.dmem_size
 
     @property
     def s_base(self) -> int:
@@ -152,6 +148,8 @@ class ProgramImage:
     def from_bytes(cls, raw: bytes) -> "ProgramImage":
         if raw[:4] != cls.MAGIC:
             raise ImageError("bad magic")
+        if len(raw) < 8:
+            raise ImageError("truncated header")
         entry, nseg = struct.unpack_from("<HH", raw, 4)
         off, segs = 8, []
         for _ in range(nseg):
@@ -223,30 +221,28 @@ class McuState:
     # -- memory helpers (little-endian words; the big-endian METADATA and
     #    SLOT records are accessed only through the monitor/wire helpers) --
 
-    def read16(self, addr: int) -> int:
+    def _locate(self, addr: int, n: int) -> tuple[bytearray, int]:
+        """The memory and offset holding the ``n`` bytes at ``addr``; an
+        access that is not wholly inside DMEM or PMEM faults."""
         lay = self.layout
-        if lay.in_dmem(addr) and lay.in_dmem(addr + 1):
-            off = addr - lay.dmem_base
-            return self.dmem[off] | (self.dmem[off + 1] << 8)
-        if lay.in_pmem(addr) and lay.in_pmem(addr + 1):
-            off = addr - lay.pmem_base
-            return self.pmem[off] | (self.pmem[off + 1] << 8)
-        raise MachineError(f"read outside memory: {addr:#06x}")
+        if lay.dmem_base <= addr and addr + n <= lay.dmem_end:
+            return self.dmem, addr - lay.dmem_base
+        if lay.pmem_base <= addr and addr + n <= lay.pmem_end:
+            return self.pmem, addr - lay.pmem_base
+        raise FaultError("unmapped-access")
+
+    def read16(self, addr: int) -> int:
+        mem, off = self._locate(addr, 2)
+        return mem[off] | (mem[off + 1] << 8)
 
     def write16(self, addr: int, value: int) -> None:
-        value &= MASK16
-        lay = self.layout
-        if lay.in_dmem(addr) and lay.in_dmem(addr + 1):
-            off = addr - lay.dmem_base
-            self.dmem[off] = value & 0xFF
-            self.dmem[off + 1] = value >> 8
-            return
-        if lay.in_pmem(addr) and lay.in_pmem(addr + 1):
-            off = addr - lay.pmem_base
-            self.pmem[off] = value & 0xFF
-            self.pmem[off + 1] = value >> 8
-            return
-        raise MachineError(f"write outside memory: {addr:#06x}")
+        self.store(addr, (value & MASK16).to_bytes(2, "little"))
+
+    def store(self, addr: int, data: bytes) -> None:
+        """Land ``data`` at ``addr``.  Every run-time store to PMEM lands
+        here (DMA never reaches PMEM, see ``_dma_advance``)."""
+        mem, off = self._locate(addr, len(data))
+        mem[off:off + len(data)] = data
 
     def ivt_target(self, line: int) -> int:
         if line == NMI_LINE:
@@ -254,13 +250,12 @@ class McuState:
         return self.read16(self.layout.ivt_base + 2 * line)
 
 
-class FaultError(MachineError):
-    """Execution fault (illegal opcode, misaligned pc, stack fault); the
-    surrounding system routes it into a reset."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+def _place(mem: bytearray, base: int, seg: Segment, name: str) -> None:
+    """Copy ``seg`` into ``mem``, the memory that starts at address ``base``."""
+    off = seg.base - base
+    if off + len(seg.data) > len(mem):
+        raise ImageError(f"image too large: segment past end of {name}")
+    mem[off:off + len(seg.data)] = seg.data
 
 
 def render_pmem(image: ProgramImage, layout: MemoryLayout) -> bytes:
@@ -269,8 +264,7 @@ def render_pmem(image: ProgramImage, layout: MemoryLayout) -> bytes:
     pmem = bytearray(layout.pmem_size)
     for seg in image.segments:
         if layout.in_pmem(seg.base):
-            off = seg.base - layout.pmem_base
-            pmem[off:off + len(seg.data)] = seg.data
+            _place(pmem, layout.pmem_base, seg, "PMEM")
     return bytes(pmem)
 
 
@@ -279,26 +273,21 @@ def load_image(image: ProgramImage, layout: MemoryLayout) -> McuState:
     interrupts and DMA disabled)."""
     if image.entry != layout.tcb_min:
         raise ImageError("entry point outside TCB")
-    pmem = bytearray(layout.pmem_size)
+    pmem = bytearray(render_pmem(image, layout))
     dmem = bytearray(layout.dmem_size)
     protected = [(layout.metadata_base, METADATA.size),
                  (layout.cflog_base, layout.cflog_size),
                  (layout.timer_reg, TIMER.size)]
     for seg in image.segments:
-        end = seg.base + len(seg.data)
         if layout.in_pmem(seg.base):
-            if end > layout.pmem_end:
-                raise ImageError("image too large: segment past end of PMEM")
-            pmem[seg.base - layout.pmem_base:end - layout.pmem_base] = seg.data
-        elif layout.in_dmem(seg.base):
-            if end > layout.dmem_end:
-                raise ImageError("image too large: segment past end of DMEM")
-            for base, size in protected:
-                if seg.base < base + size and base < end:
-                    raise ImageError("image too large: segment overlaps protected region")
-            dmem[seg.base - layout.dmem_base:end - layout.dmem_base] = seg.data
-        else:
+            continue
+        if not layout.in_dmem(seg.base):
             raise ImageError(f"segment base {seg.base:#06x} outside memory")
+        _place(dmem, layout.dmem_base, seg, "DMEM")
+        end = seg.base + len(seg.data)
+        for base, size in protected:
+            if seg.base < base + size and base < end:
+                raise ImageError("image too large: segment overlaps protected region")
     st = McuState(layout, pmem, dmem)
     st.pc = st.pc_prev = layout.tcb_min
     st.sp = layout.dmem_end
@@ -411,6 +400,8 @@ def predict_bus(state: McuState, ins: Instr) -> SignalBus:
             bus.d_addr = (state.regs[ins.rs] + ins.imm) & MASK16
         elif m == M_IDX_STORE:
             bus.w_en, bus.d_addr = True, (state.regs[ins.rd] + ins.imm) & MASK16
+        if m != M_IMM and m != M_REG:
+            state._locate(bus.d_addr, 2)    # faults an unmapped access uncommitted
     elif op in (Op.CALL, Op.CALLI, Op.PUSH):
         if state.sp - 2 < state.layout.dmem_base:
             raise FaultError("stack-overflow")
@@ -441,6 +432,9 @@ def _sp_ok(state: McuState) -> bool:
 
 
 def _dma_advance(state: McuState) -> None:
+    """Land the DMA engine's next byte; a byte outside DMEM is dropped.  RoT
+    rule (a) vetoes every record whose DMA byte aims at PMEM, so on the
+    device DMA never writes PMEM."""
     d = state.dma
     if d.remaining > 0:
         off = d.next_addr - state.layout.dmem_base

@@ -129,13 +129,11 @@ def run_image(image: ProgramImage, ar: tuple[int, int], layout: MemoryLayout,
                     heal_action=heal_action, update_image=update_image,
                     timer_deadline=timer_deadline, events=events,
                     keep_trace=keep_trace)
-    if input_bytes:
-        off = layout.input_base - layout.dmem_base
-        device.state.dmem[off:off + len(input_bytes)] = input_bytes
+    device.state.store(layout.input_base, input_bytes)
 
     vconf = VerifierConfig(
         key=key_bytes,
-        expected_pmem=render_pmem(image, layout),
+        expected_pmem=bytes(device.state.pmem),
         layout=layout,
         target_ar=ar,
         ivt_targets=ivt_targets,
@@ -202,12 +200,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                      cycle_budget=cfg.cycle_budget, keep_trace=cfg.keep_trace)
 
 
-def decompress_entries(entries,
-                       pmem_base: int = MemoryLayout.pmem_base) -> list[tuple[int, int]]:
+def decompress_entries(entries) -> list[tuple[int, int]]:
     """Expand loop-counter entries: a counter with value n stands for n
     occurrences of the backward jump logged immediately before it."""
     out: list[tuple[int, int]] = []
-    for src, dest, count in decode_log(entries, pmem_base):
+    for src, dest, count in decode_log(entries):
         if count is None:
             out.append((src, dest))
         else:

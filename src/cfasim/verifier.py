@@ -43,15 +43,15 @@ class Cfg:
         return self.ar_min <= addr <= self.ar_max
 
 
-def build_cfg(binary: bytes, ar: tuple[int, int], ivt_targets: tuple[int, ...] = (),
-              pmem_base: int = MemoryLayout.pmem_base) -> Cfg:
+def build_cfg(binary: bytes, ar: tuple[int, int],
+              ivt_targets: tuple[int, ...] = ()) -> Cfg:
     """Disassemble the attested region of the expected binary and collect
     its entry points.  ``binary`` is full PMEM content."""
     ar_min, ar_max = ar
     instrs: dict[int, Instr] = {}
     for addr in range(ar_min, ar_max + 1, INSTR_SIZE):
         try:
-            instrs[addr] = decode(binary, addr - pmem_base)
+            instrs[addr] = decode(binary, addr - MemoryLayout.pmem_base)
         except DecodeError as e:
             raise CfgError(f"undecodable instruction at {addr:#06x}: {e}") from None
 
@@ -292,7 +292,7 @@ def validate_slice(kind: SliceKind, entries: list[tuple[int, int]], cfg: Cfg,
     w = _Walker(cfg, session)
     lay = session.layout
 
-    for i, (s, d, count) in enumerate(decode_log(entries, lay.pmem_base)):
+    for i, (s, d, count) in enumerate(decode_log(entries)):
         if w.entered_tcb:
             return Violation(i, "EntriesAfterTrigger")
         if count is not None:
@@ -346,7 +346,7 @@ class Verifier:
         self.config = config
         self.session = VerifySession(config.expected_pmem, config.layout)
         self.graph = build_cfg(config.expected_pmem, config.target_ar,
-                               config.ivt_targets, config.layout.pmem_base)
+                               config.ivt_targets)
         self.audit: list[str] = []
         # the answer to the last authentic report, resent verbatim when that
         # report is retransmitted; only one challenge is outstanding at a time
@@ -417,8 +417,7 @@ class Verifier:
                 if self.config.patched_ar is not None:
                     self._target_ar = self.config.patched_ar
                 self.graph = build_cfg(sess.expected_pmem, self._target_ar,
-                                       self.config.ivt_targets,
-                                       self.config.layout.pmem_base)
+                                       self.config.ivt_targets)
 
         raw = self._respond(app)
         self._last = (cache_key, raw)

@@ -29,7 +29,7 @@ import hmac as _hmac
 import struct
 from dataclasses import dataclass, field
 
-from .mcu import METADATA, SLOT
+from .mcu import METADATA, SLOT, MemoryLayout
 from .monitor import Metadata, TriggerKind
 
 MAC_LEN = 32
@@ -58,15 +58,15 @@ def response_auth(key: bytes, chal: int, ar_min: int, ar_max: int, app: int) -> 
     return mac(key, struct.pack(">IHHB", chal, ar_min, ar_max, app))
 
 
-def decode_log(entries, pmem_base: int):
+def decode_log(entries):
     """Yield ``(src, dest, count)`` for each log entry: ``count`` is None for
     a transfer and the iteration count of a loop-counter entry.  Counters are
     recognised by position: one follows a backward jump, its high half lies
-    below program memory (where no transfer source can), and a counter never
-    follows a counter."""
+    below ``MemoryLayout.pmem_base`` (where no transfer source can, in any
+    layout), and a counter never follows a counter."""
     prev = None   # the previous entry, when it was a transfer
     for src, dest in entries:
-        if prev is not None and prev[1] <= prev[0] and src < pmem_base:
+        if prev is not None and prev[1] <= prev[0] and src < MemoryLayout.pmem_base:
             yield src, dest, (src << 16) | dest
             prev = None
         else:

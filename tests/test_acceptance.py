@@ -31,7 +31,7 @@ def app_level(reports, layout):
     entry/exit jumps filtered out."""
     out = []
     for rep in reports:
-        for s, d in decompress_entries(rep.entries, layout.pmem_base):
+        for s, d in decompress_entries(rep.entries):
             if not (layout.in_tcb(s) or layout.in_tcb(d)):
                 out.append((s, d))
     return out
@@ -307,8 +307,7 @@ def test_criterion_8_attestation_time_scales_with_memory():
     costs = []
     for kb in (1, 2, 4, 8):
         pmem_size = kb * 1024
-        lay = MemoryLayout(pmem_size=pmem_size, tcb_min=0x8000,
-                           tcb_max=0x80FC, cflog_size=256)
+        lay = MemoryLayout(pmem_size=pmem_size, tcb_max=0x80FC, cflog_size=256)
         src = f"""
         .org {lay.s_base:#x}
 main:   NOP

@@ -84,6 +84,7 @@ def test_code_before_org_rejected():
     ("MOV & 0x1000 , r4", "0b040010"),
     ("MOV @ r2, r5", "0d250000"),
     ("JMP lab - 4", "2800fc8f"),
+    ("JMP lab -\t4", "2800fc8f"),
     ("calli R3", "48030000"),
     ("add r1,r2", "11120000"),
 ])

@@ -85,7 +85,7 @@ def test_randomized_write_attacks_never_corrupt_protected_state():
                                    if r.trigger is TriggerKind.VIOLATION)
             got = []
             for rep in result.reports[:first_violation + 1]:
-                got.extend(e for e in decompress_entries(rep.entries, lay.pmem_base)
+                got.extend(e for e in decompress_entries(rep.entries)
                            if not (lay.in_tcb(e[0]) or lay.in_tcb(e[1])))
             want = golden_region_trace(res.image, lay, ar)
             assert got == want[:len(got)]

@@ -84,13 +84,16 @@ def test_scenario_rejects_unknown_input_kind():
 
 @pytest.mark.parametrize("args, message", [
     (["dis", "{tmp}/notimage.tmcu"], "bad magic"),
+    (["dis", "{tmp}/header.tmcu"], "truncated header"),
     (["dis", "{tmp}/missing.tmcu"], "No such file"),
     (["asm", "{tmp}/missing.asm", "{tmp}/out.tmcu"], "No such file"),
     (["run", "{tmp}/missing.cfg"], "No such file"),
     (["asm", "{tmp}/prog.asm", "{tmp}/out.tmcu", "--entry", "zz"], "invalid literal"),
-], ids=["dis-not-image", "dis-missing", "asm-missing", "run-missing", "asm-entry"])
+], ids=["dis-not-image", "dis-short-header", "dis-missing", "asm-missing",
+        "run-missing", "asm-entry"])
 def test_command_error_is_one_line(tmp_path, capsys, args, message):
     (tmp_path / "notimage.tmcu").write_bytes(b"not an image")
+    (tmp_path / "header.tmcu").write_bytes(b"TMCU\x00")
     (tmp_path / "prog.asm").write_text("        .org 0x9000\n        HALT\n")
     rc = main([a.format(tmp=tmp_path) for a in args])
     err = capsys.readouterr().err

@@ -12,6 +12,7 @@ from cfasim.monitor import ResetReason, TriggerKind
 from cfasim.scenario import (Outcome, ScenarioConfig, run_image, run_scenario,
                              _derive_key)
 from cfasim.tcb import HEAL_CYCLES, HealAction, PolicyMode, WaitPolicy
+from test_mcu import UNMAPPED_ACCESSES
 
 LAY = MemoryLayout()
 
@@ -60,6 +61,15 @@ class TestViolationResets:
         assert dev.stats.n_violation_resets == 1
         kinds = [r.trigger for r in result.reports]
         assert TriggerKind.VIOLATION in kinds
+        assert result.outcome is Outcome.COMPLETED   # clean re-run after reset
+
+    @pytest.mark.parametrize("name", sorted(UNMAPPED_ACCESSES))
+    def test_unmapped_access_resets_and_reports(self, name):
+        result, _ = run_src(one_shot(UNMAPPED_ACCESSES[name]))
+        dev = result.device
+        assert dev.last_reset is ResetReason.MACHINE_FAULT
+        assert dev.last_fault == "unmapped-access"
+        assert TriggerKind.VIOLATION in [r.trigger for r in result.reports]
         assert result.outcome is Outcome.COMPLETED   # clean re-run after reset
 
     def test_vetoed_write_never_lands(self):

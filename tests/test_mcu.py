@@ -4,9 +4,10 @@ import pytest
 
 from cfasim.asm import assemble
 from cfasim.isa import Op
-from cfasim.mcu import (FaultError, ImageError, LayoutError, MemoryLayout,
-                        NMI_LINE, ProgramImage, Segment, load_image, raise_irq,
-                        reset, step)
+from cfasim.mcu import (METADATA, NMI_LINE, NUM_IRQ_LINES, TIMER, FaultError,
+                        ImageError, LayoutError, MemoryLayout, ProgramImage,
+                        Segment, load_image, raise_irq, render_pmem, reset,
+                        step)
 
 
 def boot(source, layout=None, entry=None):
@@ -25,15 +26,38 @@ def run_to_halt(st, limit=10_000):
     return buses
 
 
+# loads and stores that leave DMEM (0x0000-0x3FFF) and PMEM (0x8000-0xFFFF)
+UNMAPPED_ACCESSES = {
+    "load": "        MOV r1, &0x5000\n",
+    "store": "        MOV &0x5000, r1\n",
+    "load-straddling-dmem-end": "        MOV r1, &0x3FFF\n",
+    "store-straddling-pmem-start": "        MOV &0x7FFF, r1\n",
+    "indirect-load": "        MOV r1, #0x5000\n        MOV r2, @r1\n",
+}
+
+
 class TestLayout:
     def test_defaults_are_consistent(self):
         lay = MemoryLayout()
         assert lay.s_base == lay.tcb_max + 4
         assert lay.max_entries == lay.cflog_size // 4
 
-    def test_overlapping_regions_rejected(self):
-        with pytest.raises(LayoutError):
-            MemoryLayout(metadata_base=0x0200)   # collides with the log
+    def test_fixed_regions_disjoint_inside_dmem(self):
+        # the log at the largest size the layout accepts
+        lay = MemoryLayout(cflog_size=MemoryLayout.dmem_end - MemoryLayout.cflog_base)
+        regions = sorted([(lay.metadata_base, METADATA.size),
+                          (lay.cflog_base, lay.cflog_size),
+                          (lay.ivt_base, 2 * NUM_IRQ_LINES),
+                          (lay.timer_reg, TIMER.size),
+                          (lay.input_base, lay.input_size)])
+        assert regions[0][0] >= lay.dmem_base
+        assert regions[-1][0] + regions[-1][1] <= lay.dmem_end
+        for (base, size), (next_base, _) in zip(regions, regions[1:]):
+            assert base + size <= next_base
+
+    def test_log_past_dmem_end_rejected(self):
+        with pytest.raises(LayoutError, match="outside DMEM"):
+            MemoryLayout(cflog_size=MemoryLayout.dmem_end - MemoryLayout.cflog_base + 4)
 
     def test_log_size_must_be_word_multiple(self):
         with pytest.raises(LayoutError):
@@ -64,6 +88,12 @@ class TestLoadImage:
         img = ProgramImage(lay.tcb_min, (Segment(0xFFFE, b"\x00" * 8),))
         with pytest.raises(ImageError, match="too large"):
             load_image(img, lay)
+
+    def test_render_pmem_rejects_segment_past_pmem_end(self):
+        lay = MemoryLayout()
+        img = ProgramImage(lay.tcb_min, (Segment(0xFFFE, b"\x00" * 8),))
+        with pytest.raises(ImageError, match="too large"):
+            render_pmem(img, lay)
 
     def test_pmem_matches_assembled_bytes(self):
         from cfasim.apps import PASSWORD
@@ -169,6 +199,16 @@ fn:     RET
         st.pc = 0x9000
         with pytest.raises(FaultError, match="underflow"):
             step(st)
+
+    @pytest.mark.parametrize("name", sorted(UNMAPPED_ACCESSES))
+    def test_unmapped_access_faults(self, name):
+        source = UNMAPPED_ACCESSES[name]
+        st, _ = boot(f"        .org 0x9000\n{source}        HALT\n")
+        st.pc = 0x9000
+        with pytest.raises(FaultError, match="unmapped-access"):
+            run_to_halt(st)
+        # the faulting instruction, the last of the source, did not retire
+        assert st.pc == 0x9000 + 4 * (source.count("\n") - 1)
 
     def test_sp_read_mode(self):
         st, _ = boot("        .org 0x9000\n        MOV r3, SP\n        HALT\n")

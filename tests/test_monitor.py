@@ -232,7 +232,7 @@ class TestLoopMonitor:
                         inst=None, irq_acc=True, irq_line=NMI_LINE))
         entries = read_log_entries(mon.dmem, lay, mon.cf_size)
         assert [(s, d) if c is None else c for s, d, c in
-                decode_log(entries[1:-1], lay.pmem_base)] == [pair, limit - 1, pair, 2]
+                decode_log(entries[1:-1])] == [pair, limit - 1, pair, 2]
 
         s = VerifySession(b"", lay)
         s.issued_ar = ar

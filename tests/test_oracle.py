@@ -112,7 +112,7 @@ def test_monitor_pipeline_matches_oracle_on_fixture():
         assert all(" app=1 " in line for line in result.audit), name
         got = []
         for rep in result.reports:
-            ents = decompress_entries(rep.entries, SMALL_LAYOUT.pmem_base)
+            ents = decompress_entries(rep.entries)
             got.extend(e for e in ents
                        if not (SMALL_LAYOUT.in_tcb(e[0]) or SMALL_LAYOUT.in_tcb(e[1])))
         assert got == golden_region_trace(res.image, SMALL_LAYOUT, ar), name
