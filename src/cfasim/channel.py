@@ -97,6 +97,12 @@ class Channel:
         self._enqueue(endpoint, frame, at_cycle + self.policy.latency)
         self._log.append((at_cycle, endpoint, frame, True))
 
+    def next_due(self, endpoint: str) -> int | None:
+        """The earliest ``deliver_at`` queued toward ``endpoint``, or None
+        when nothing is in flight there."""
+        q = self._queues[endpoint]
+        return q[0][0] if q else None
+
     def deliver(self, endpoint: str, at_cycle: int) -> bytes | None:
         """At most one frame: the earliest due, FIFO among equal times."""
         q = self._queues[endpoint]

@@ -135,13 +135,17 @@ class Device:
         return self.mode in (DeviceMode.RUN, DeviceMode.WAIT) \
             or self._pending_session is not None
 
-    def tick(self, channel: Channel) -> None:
+    def tick(self, channel: Channel, until: int | None = None) -> None:
         """Advance the device: a pending trusted-software session, one wait
-        poll, or up to ``TICK_BURST`` application cycles."""
+        poll after skipping the idle ones before it, or up to ``TICK_BURST``
+        application cycles.  ``until`` is the drive loop's cycle budget,
+        which the skip does not pass; without it the skip still stops at the
+        next retransmission."""
         if self._pending_session is not None:
             self._session(channel)
             return
         if self.mode is DeviceMode.WAIT:
+            self._skip_idle_polls(channel, until)
             self._wait_poll(channel)
             return
         if self.mode is not DeviceMode.RUN:
@@ -301,7 +305,7 @@ class Device:
         st, lay = self.state, self.layout
         md = read_metadata(st.dmem, lay)
         entries = read_log_entries(st.dmem, lay, md.cf_size)
-        h, cost = tcb_att(self.key, bytes(st.pmem), md, entries)
+        h, cost = tcb_att(self.key, st.pmem, md, entries)
         st.cycle += cost
         self.stats.att_cycles += cost
         report = CfaReport(h, md, kind, tuple(entries))
@@ -312,7 +316,32 @@ class Device:
         self.wait_started = st.cycle
         self._last_tx = st.cycle
 
+    def _skip_idle_polls(self, channel: Channel, until: int | None) -> None:
+        """Charge, without executing them, the polls before the first one at
+        which something can happen: a frame falls due at either endpoint
+        (the drive loop answers a report after the poll at which it falls
+        due), a retransmission, the best-effort timeout, the next attack or
+        ``until``.  Each skipped poll is charged to ``state.cycle`` and
+        ``wait_cycles`` as an executed idle poll is, so every simulated
+        cycle stays where one executed poll per 50 cycles put it."""
+        pol = self.policy
+        due = [self._last_tx + pol.retransmit_every,
+               channel.next_due(PROVER), channel.next_due(VERIFIER), until]
+        if pol.mode is not PolicyMode.STRICT:
+            due.append(self.wait_started + pol.timeout_cycles)
+        if self._attack_idx < len(self.events.attacks):
+            due.append(self.events.attacks[self._attack_idx].at_cycle)
+        # polls land at cycle + k * WAIT_POLL_CYCLES; the first to reach the
+        # earliest due cycle runs, the ones before it are idle
+        first = min(t for t in due if t is not None)
+        idle = (first - self.state.cycle - 1) // WAIT_POLL_CYCLES
+        if idle > 0:
+            self.state.cycle += idle * WAIT_POLL_CYCLES
+            self.stats.wait_cycles += idle * WAIT_POLL_CYCLES
+
     def _wait_poll(self, channel: Channel) -> None:
+        """One executed poll of the wait loop: apply due attacks, take at
+        most one response, then retransmit or time out when due."""
         st = self.state
         st.cycle += WAIT_POLL_CYCLES
         self.stats.wait_cycles += WAIT_POLL_CYCLES

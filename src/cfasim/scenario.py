@@ -124,6 +124,9 @@ def run_image(image: ProgramImage, ar: tuple[int, int], layout: MemoryLayout,
               cycle_budget: int = DEFAULT_BUDGET,
               keep_trace: bool = False) -> ScenarioResult:
     """Run an arbitrary image against a matching verifier to completion."""
+    if len(input_bytes) > layout.input_size:
+        raise ValueError(f"input is {len(input_bytes)} bytes; the input region "
+                         f"holds {layout.input_size}")
     channel = Channel(channel_policy or ChannelPolicy())
     device = Device(image, layout, DeviceKey(key_bytes), policy=policy,
                     heal_action=heal_action, update_image=update_image,
@@ -144,7 +147,7 @@ def run_image(image: ProgramImage, ar: tuple[int, int], layout: MemoryLayout,
     verifier = Verifier(vconf)
 
     while device.running and device.cycle < cycle_budget:
-        device.tick(channel)
+        device.tick(channel, cycle_budget)
         while (frame := channel.deliver(VERIFIER, device.cycle)) is not None:
             resp = verifier.handle_report(frame)
             if resp is not None:

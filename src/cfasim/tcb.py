@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .mcu import METADATA, SLOT
 from .monitor import Metadata
-from .wire import CfaResponse, attest_digest, response_auth
+from .wire import CfaResponse, PmemMac, response_auth
 
 # Cycle-cost model.  Attestation is dominated by MAC-ing program memory, so
 # its cost scales with the measured byte count; the rest are flat charges.
@@ -56,23 +56,29 @@ class HealAction(enum.Enum):
 
 class DeviceKey:
     """Symmetric attestation key.  Deliberately opaque: no repr leakage, no
-    serialization; only the two MAC operations below can reach the bytes."""
+    serialization; only the two MAC operations below can reach the bytes.
+    It carries the prover's primed measurement (``wire.PmemMac``), keyed on
+    the PMEM bytes, so ``tcb_att`` stays a pure function of its arguments
+    across heal-time PMEM patches."""
 
-    __slots__ = ("_k",)
+    __slots__ = ("_k", "_att")
 
     def __init__(self, k: bytes):
         if len(k) != 32:
             raise ValueError("key must be 32 bytes")
         self._k = bytes(k)
+        self._att = PmemMac(self._k)
 
     def __repr__(self):
         return "DeviceKey(<hidden>)"
 
 
-def tcb_att(key: DeviceKey, pmem: bytes, md: Metadata,
+def tcb_att(key: DeviceKey, pmem: bytes | bytearray, md: Metadata,
             entries: list[tuple[int, int]]) -> tuple[bytes, int]:
-    """Measurement phase: returns (digest, charged cycles)."""
-    h = attest_digest(key._k, pmem, md, entries)
+    """Measurement phase: returns (digest, charged cycles).  The charged
+    cycles model the device's MAC over all of ``pmem``; the host re-hashes
+    PMEM only when its bytes changed."""
+    h = key._att.digest(pmem, md, entries)
     cost = ATT_BASE_CYCLES + ATT_CYCLES_PER_BYTE * (
         len(pmem) + METADATA.size + SLOT.size * len(entries))
     return h, cost

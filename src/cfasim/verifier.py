@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .isa import INSTR_SIZE, NO_FALLTHROUGH_OPS, DecodeError, Instr, Op, decode
 from .mcu import MemoryLayout
 from .monitor import Metadata, TriggerKind
-from .wire import (CfaResponse, WireError, attest_digest, decode_log,
+from .wire import (CfaResponse, PmemMac, WireError, decode_log,
                    decode_report, encode_response, response_auth)
 
 EXTERNAL = "<external>"   # cursor value while execution is outside the region
@@ -352,6 +352,8 @@ class Verifier:
         # report is retransmitted; only one challenge is outstanding at a time
         self._last: tuple[tuple[int, bytes], bytes] | None = None
         self._target_ar = config.target_ar
+        # primes again by itself when the expectation switches to patched_pmem
+        self._att = PmemMac(config.key)
 
     # -- helpers --
 
@@ -383,8 +385,7 @@ class Verifier:
             self._audit("cached", cached[0], "resend", md.cf_size)
             return cached
 
-        expect_h = attest_digest(self.config.key, sess.expected_pmem, md,
-                                 list(report.entries))
+        expect_h = self._att.digest(sess.expected_pmem, md, report.entries)
         if expect_h != report.h:
             self._audit("?", 0, "bad-mac", md.cf_size)
             return None

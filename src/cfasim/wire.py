@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .mcu import METADATA, SLOT, MemoryLayout
@@ -47,11 +48,39 @@ def mac(key: bytes, message: bytes) -> bytes:
     return _hmac.new(key, message, hashlib.sha256).digest()
 
 
+class PmemMac:
+    """The report measurement under one key: HMAC-SHA-256 over pmem,
+    metadata and the used log slice, in wire byte order.  The trigger
+    annotation byte is deliberately not included.
+
+    Reports share their PMEM prefix, so the state that has absorbed
+    key || pmem is primed once and copied for each report.  It is keyed on
+    the PMEM bytes themselves: a comparison decides when to prime again, so
+    a PMEM write (a heal's patch, the verifier's switch to the patched
+    image) can never leave a stale prefix behind."""
+
+    __slots__ = ("_key", "_pmem", "_primed")
+
+    def __init__(self, key: bytes):
+        self._key = key
+        self._pmem: bytes | None = None
+        self._primed = None
+
+    def digest(self, pmem: bytes | bytearray, md: Metadata,
+               entries: Iterable[tuple[int, int]]) -> bytes:
+        if pmem is not self._pmem and pmem != self._pmem:
+            self._pmem = bytes(pmem)
+            self._primed = _hmac.new(self._key, self._pmem, hashlib.sha256)
+        h = self._primed.copy()
+        h.update(md.pack())
+        h.update(pack_entries(entries))
+        return h.digest()
+
+
 def attest_digest(key: bytes, pmem: bytes, md: Metadata,
-                  entries: list[tuple[int, int]]) -> bytes:
-    """The report measurement: pmem, metadata and the used log slice, in wire
-    byte order.  The trigger annotation byte is deliberately not included."""
-    return mac(key, pmem + md.pack() + pack_entries(entries))
+                  entries: Iterable[tuple[int, int]]) -> bytes:
+    """The report measurement as one call (see ``PmemMac``)."""
+    return PmemMac(key).digest(pmem, md, entries)
 
 
 def response_auth(key: bytes, chal: int, ar_min: int, ar_max: int, app: int) -> bytes:
@@ -74,7 +103,7 @@ def decode_log(entries):
             prev = (src, dest)
 
 
-def pack_entries(entries: list[tuple[int, int]]) -> bytes:
+def pack_entries(entries: Iterable[tuple[int, int]]) -> bytes:
     return b"".join(SLOT.pack(src, dest) for src, dest in entries)
 
 
@@ -101,7 +130,7 @@ def encode_report(r: CfaReport) -> bytes:
     if r.metadata.cf_size != len(r.entries):
         raise WireError("cf_size does not match entry count")
     return (r.h + r.metadata.pack() + bytes([r.trigger])
-            + pack_entries(list(r.entries)))
+            + pack_entries(r.entries))
 
 
 def decode_report(raw: bytes) -> CfaReport:

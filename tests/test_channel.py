@@ -94,6 +94,21 @@ def test_injected_frame_due_earlier_is_delivered_first():
                         f"0 =>{PROVER} {b'injected'.hex()} (injected)"]
 
 
+def test_next_due_peeks_the_earliest_frame_per_endpoint():
+    ch = Channel(ChannelPolicy(latency=100))
+    assert ch.next_due(PROVER) is None and ch.next_due(VERIFIER) is None
+    ch.send(VERIFIER, b"late", 50)
+    ch.inject(VERIFIER, b"early", 10)
+    ch.send(PROVER, b"resp", 30)
+    assert ch.next_due(VERIFIER) == 110
+    assert ch.next_due(PROVER) == 130
+    assert ch.deliver(VERIFIER, 110) == b"early"
+    assert ch.next_due(VERIFIER) == 150
+    assert ch.deliver(VERIFIER, 150) == b"late"
+    assert ch.next_due(VERIFIER) is None
+    assert ch.next_due(PROVER) == 130
+
+
 def test_empty_frame_rejected():
     ch = Channel(ChannelPolicy())
     with pytest.raises(ValueError):

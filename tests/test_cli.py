@@ -1,11 +1,15 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cfasim.cli import main
 from test_asm import IVT_PROGRAM
 from cfasim.scenario import ScenarioConfig, run_scenario
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args, capsys):
@@ -146,8 +150,12 @@ def test_asm_error_reported(tmp_path, capsys):
 
 
 def test_console_script_entry_point():
+    # pytest's pythonpath setting does not reach a child process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "cfasim.cli", "run", "few_branch"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "n_reports=2" in proc.stdout
 

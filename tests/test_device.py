@@ -337,6 +337,28 @@ done:   NOP
         assert bytes(dev.state.pmem) == render_pmem(tiny.image, LAY)
         assert " app=1 " in result.audit[-1]
 
+    def test_boot_reports_measure_the_image_in_place(self):
+        """The first BOOT report measures the original image and the first
+        one after the update heal the patched image, each checked against
+        an HMAC recomputed here from the rendered PMEM."""
+        import hashlib
+        import hmac
+        from cfasim.mcu import SLOT, render_pmem
+
+        fx = FIXTURES["password"]
+        res = run_scenario(ScenarioConfig(app="password", input_kind="overflow",
+                                          heal_action=HealAction.UPDATE, seed=5))
+        assert res.outcome is Outcome.COMPLETED
+        lay = res.device.layout
+        images = [assemble(src, entry=lay.tcb_min).image
+                  for src in (fx.source, fx.patched_source)]
+        boots = [r for r in res.reports if r.trigger is TriggerKind.BOOT]
+        assert len(boots) == 2
+        for report, image in zip(boots, images):
+            msg = (render_pmem(image, lay) + report.metadata.pack()
+                   + b"".join(SLOT.pack(*e) for e in report.entries))
+            assert report.h == hmac.new(_derive_key(5), msg, hashlib.sha256).digest()
+
     def test_oversized_update_falls_back_to_reboot(self):
         fx = FIXTURES["password"]
         built = assemble(fx.source, entry=LAY.tcb_min)

@@ -112,3 +112,27 @@ def test_reports_across_sessions_share_log_content(tmp_path):
     idx = next(i for i, r in enumerate(res.reports)
                if r.trigger is TriggerKind.BOOT and i > 0)
     assert res.reports[idx].entries == ()
+
+
+def _password_with_input(input_bytes):
+    from cfasim.apps import FIXTURES
+    lay = MemoryLayout()
+    fx = FIXTURES["password"]
+    built = assemble(fx.source, entry=lay.tcb_min)
+    ar = (built.symbols[fx.ar_labels[0]], built.symbols[fx.ar_labels[1]])
+    return run_image(built.image, ar, lay, key_bytes=_derive_key(1),
+                     input_bytes=input_bytes)
+
+
+def test_input_longer_than_its_region_rejected():
+    """0xB0 bytes would run past the 0x80-byte input region into the
+    metadata (the boot report then carried chal=0x01010101)."""
+    with pytest.raises(ValueError, match="input region holds 128"):
+        _password_with_input(b"\x01" * 0xB0)
+
+
+def test_input_filling_its_region_accepted():
+    res = _password_with_input(b"\x01" * MemoryLayout.input_size)
+    assert res.reports[0].metadata.chal == 0
+    assert res.reports[0].metadata.cf_size == 0
+    assert not any("stale-chal" in line for line in res.audit)

@@ -1,4 +1,5 @@
 import hashlib
+import hmac
 
 import pytest
 
@@ -38,6 +39,24 @@ class TestAtt:
     def test_deterministic(self):
         md = Metadata(7, 0x9000, 0x9FFC, 0)
         assert tcb_att(KEY, b"\xAB" * 64, md, []) == tcb_att(KEY, b"\xAB" * 64, md, [])
+
+    def test_pmem_change_primes_the_measurement_again(self):
+        """One key measures PMEM A, then B, then A again (the prover's
+        PMEM after an update heal, the verifier's switch to the patched
+        image): each digest is the plain HMAC over that content."""
+        key = bytes(range(32))
+        dev_key = DeviceKey(key)
+        md = Metadata(3, 0x9000, 0x9FFC, 1)
+        entries = [(0x9000, 0x9100)]
+        tail = md.pack() + bytes.fromhex("90009100")
+        a, b = bytearray(b"\xAB" * 512), bytearray(b"\xAB" * 511 + b"\xAC")
+        for pmem in (a, b, a):
+            h, _ = tcb_att(dev_key, pmem, md, entries)
+            assert h == hmac.new(key, bytes(pmem) + tail, hashlib.sha256).digest()
+        # the same buffer written in place is measured afresh
+        a[0] ^= 0xFF
+        h, _ = tcb_att(dev_key, a, md, entries)
+        assert h == hmac.new(key, bytes(a) + tail, hashlib.sha256).digest()
 
     def test_cost_scales_with_measured_bytes(self):
         md = Metadata(0, 0, 0, 0)
