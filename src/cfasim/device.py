@@ -17,7 +17,8 @@ writes the log slots and ``cf_size``; ``Device._tcb_write`` lands each
 trusted-software store (metadata fields, timer reload, the heal's PMEM
 patches) after its store record commits.  A cache of protected state needs
 to follow only these two write paths.  Every PMEM store, the heal's patches
-included, lands through ``McuState.store``.
+included, lands through ``McuState.store``, so the core's decode cache
+(``McuState.decoded``) follows that one PMEM write path: ``store`` empties it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from .channel import Channel, PROVER, VERIFIER
 from .isa import Op
 from .mcu import (MD_AR_MIN, MD_CF_SIZE, METADATA, TIMER, FaultError,
-                  MemoryLayout, NMI_LINE, ProgramImage, SignalBus,
+                  ImageError, MemoryLayout, NMI_LINE, ProgramImage, SignalBus,
                   acceptable_line, apply_acceptance, apply_instr, _fetch,
                   load_image, predict_acceptance, predict_bus, raise_irq)
 from .monitor import (CfaMonitor, MonitorEvent, ResetReason, TriggerKind,
@@ -42,6 +43,9 @@ from .wire import CfaReport, WireError, decode_response, encode_report
 
 TCB_EXIT_CYCLES = 8
 TICK_BURST = 64         # application cycles per tick
+
+# Read once per record; ``Mode.APP`` resolves through EnumType.__getattr__.
+_APP = Mode.APP
 
 
 class DeviceMode(enum.Enum):
@@ -95,6 +99,8 @@ class Device:
                  timer_deadline: int = 0,
                  events: DeviceEvents | None = None,
                  keep_trace: bool = False):
+        if update_image is not None and not layout.fits_app_region(update_image):
+            raise ImageError("update image outside the application region")
         self.layout = layout
         self.key = key
         self.policy = policy or WaitPolicy()
@@ -116,6 +122,7 @@ class Device:
         self._nmi_kind: TriggerKind | None = None
         self._nmi_raised_cycle: int | None = None
         self._attack_idx = 0
+        self._tcb = (layout.tcb_min, layout.tcb_max)
         self._report_frame: bytes | None = None
         self.wait_started = 0   # cycle the current wait began
         self._last_tx = 0
@@ -148,10 +155,11 @@ class Device:
             self._skip_idle_polls(channel, until)
             self._wait_poll(channel)
             return
-        if self.mode is not DeviceMode.RUN:
+        run = DeviceMode.RUN    # read once, like _APP
+        if self.mode is not run:
             return
         for _ in range(TICK_BURST):
-            if self.mode is not DeviceMode.RUN or self._pending_session is not None:
+            if self.mode is not run or self._pending_session is not None:
                 break
             self._run_cycle()
 
@@ -175,7 +183,16 @@ class Device:
         caller lands the record's effects, which never touch the log, and
         touch the metadata only through ``_tcb_write``, whose data lands
         after its own store record was observed."""
-        if self._vetoed(bus):
+        # The rules run unless the record writes nothing (no w_en, dma_en or
+        # irq_acc), the RoT is in application mode and neither pc nor
+        # pc_next is in the TCB.  Such a record can break no rule:
+        # boundary_check, timer_write_check and RoT rule (a) fire only on
+        # w_en or dma_en; rules (b) and (d) only in TCB mode; rule (e) needs
+        # pc in the TCB and rule (c) pc_next in the TCB.
+        lo, hi = self._tcb
+        if (bus.w_en or bus.dma_en or bus.irq_acc or self.rot.mode is not _APP
+                or lo <= bus.pc <= hi or lo <= bus.pc_next <= hi) \
+                and self._vetoed(bus):
             return None
         self.state.cycle += cycles
         ev = self.monitor.observe(bus)
@@ -185,11 +202,12 @@ class Device:
 
     def _run_cycle(self) -> None:
         st = self.state
-        self._apply_due_attacks()
-        if self.mode is not DeviceMode.RUN or self._pending_session is not None:
-            return
+        if self._attack_idx < len(self.events.attacks):
+            self._apply_due_attacks()
+            if self.mode is not DeviceMode.RUN or self._pending_session is not None:
+                return
 
-        line = acceptable_line(st)
+        line = acceptable_line(st) if st.pending_irq else None
         if line is not None and line != NMI_LINE and st.halted:
             line = None     # only a trigger (non-maskable) wakes a halted core
         if line is None:
@@ -432,12 +450,10 @@ class Device:
 
         if action is HealAction.UPDATE:
             img = self.update_image
-            ok = img is not None and all(
-                lay.s_base <= seg.base and seg.base + len(seg.data) <= lay.pmem_end
-                for seg in img.segments)
-            if not ok:
-                action = HealAction.REBOOT   # oversized or missing patch
+            if img is None:
+                action = HealAction.REBOOT   # no patch to apply
             else:
+                # __init__ checked that img fits the application region
                 self.rot.heal_latch = True
                 # wipe the application region first so a shorter replacement
                 # leaves no stale code behind, then write the new image

@@ -43,6 +43,13 @@ class Op(enum.IntEnum):
     HALT = 16
 
 
+# The members under module names, for the per-record code: reading
+# ``Op.MOV`` goes through ``EnumType.__getattr__`` and costs several times
+# a module global.
+(NOP, MOV, ADD, SUB, CMP, JMP, JZ, JNZ, CALL, CALLI, RET, RETI, PUSH, POP,
+ EINT, DINT, HALT) = Op
+
+
 # MOV addressing modes (other classes use only IMM/REG).
 M_IMM = 0        # rd := imm
 M_REG = 1        # rd := rs        (rs == SP_REG reads the stack pointer)
@@ -85,7 +92,7 @@ class DecodeError(ValueError):
     """Raised when 4 bytes do not form a valid TinyMCU instruction."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instr:
     op: Op
     mode: int = 0

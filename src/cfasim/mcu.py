@@ -16,6 +16,8 @@ import struct
 from dataclasses import dataclass, field
 
 from .isa import INSTR_SIZE, DecodeError, Instr, Op, SP_REG, decode
+from .isa import (ADD, CALL, CALLI, CMP, DINT, EINT, HALT, JMP, JNZ, JZ, MOV,
+                  POP, PUSH, RET, RETI, SUB)
 from .isa import (M_ABS_LOAD, M_ABS_STORE, M_IDX_LOAD, M_IDX_STORE,
                   M_IMM, M_IND_LOAD, M_IND_STORE, M_REG)
 
@@ -116,6 +118,12 @@ class MemoryLayout:
     def in_timer(self, a: int) -> bool:
         return self.timer_reg <= a < self.timer_reg + TIMER.size
 
+    def fits_app_region(self, image: ProgramImage) -> bool:
+        """Every segment of ``image`` lies in ``[s_base, pmem_end)``: the
+        one region a heal may rewrite, so the one an update image may fill."""
+        return all(self.s_base <= seg.base and seg.base + len(seg.data) <= self.pmem_end
+                   for seg in image.segments)
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -173,7 +181,7 @@ class DmaConfig:
     value: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class SignalBus:
     """One cycle's worth of monitored signals.
 
@@ -217,6 +225,9 @@ class McuState:
     retired: int = 0
     pending_irq: dict[int, int] = field(default_factory=dict)  # line -> retired count at raise
     dma: DmaConfig = field(default_factory=DmaConfig)
+    # pc -> instruction decoded from the current PMEM content; ``store``
+    # empties it whenever a store lands in PMEM
+    decoded: dict[int, Instr] = field(default_factory=dict, repr=False, compare=False)
 
     # -- memory helpers (little-endian words; the big-endian METADATA and
     #    SLOT records are accessed only through the monitor/wire helpers) --
@@ -240,9 +251,12 @@ class McuState:
 
     def store(self, addr: int, data: bytes) -> None:
         """Land ``data`` at ``addr``.  Every run-time store to PMEM lands
-        here (DMA never reaches PMEM, see ``_dma_advance``)."""
+        here (DMA never reaches PMEM, see ``_dma_advance``), so this is the
+        one place the decode cache goes stale."""
         mem, off = self._locate(addr, len(data))
         mem[off:off + len(data)] = data
+        if mem is self.pmem:
+            self.decoded.clear()
 
     def ivt_target(self, line: int) -> int:
         if line == NMI_LINE:
@@ -335,22 +349,30 @@ def acceptable_line(state: McuState) -> int | None:
 
 
 def _fetch(state: McuState) -> Instr:
+    """The instruction at pc, decoded once per PMEM content.  Only a valid
+    instruction is cached, so a faulting pc faults on every fetch."""
     pc = state.pc
+    ins = state.decoded.get(pc)
+    if ins is not None:
+        return ins
     lay = state.layout
     if pc % 2:
         raise FaultError("misaligned-pc")
     if not (lay.in_pmem(pc) and pc + INSTR_SIZE <= lay.pmem_end):
         raise FaultError("pc-outside-pmem")
     try:
-        return decode(state.pmem, pc - lay.pmem_base)
+        ins = decode(state.pmem, pc - lay.pmem_base)
     except DecodeError:
         raise FaultError("illegal-opcode") from None
+    state.decoded[pc] = ins
+    return ins
 
 
 def _dma_ride(state: McuState, bus: SignalBus) -> None:
-    if state.dma.remaining > 0:
-        bus.dma_en = True
-        bus.dma_addr = state.dma.next_addr
+    """Put the DMA engine's pending byte write on ``bus``; called only while
+    bytes remain."""
+    bus.dma_en = True
+    bus.dma_addr = state.dma.next_addr
 
 
 def predict_acceptance(state: McuState, line: int) -> SignalBus:
@@ -365,7 +387,8 @@ def predict_acceptance(state: McuState, line: int) -> SignalBus:
             raise FaultError("stack-overflow")
         bus.w_en = True
         bus.d_addr = (state.sp - 2) & MASK16
-    _dma_ride(state, bus)
+    if state.dma.remaining > 0:
+        _dma_ride(state, bus)
     return bus
 
 
@@ -377,16 +400,17 @@ def apply_acceptance(state: McuState, line: int) -> None:
     state.pc = state.ivt_target(line)
     state.gie = False
     state.cycle += 1
-    _dma_advance(state)
+    if state.dma.remaining > 0:
+        _dma_advance(state)
 
 
 def predict_bus(state: McuState, ins: Instr) -> SignalBus:
     """Compute the full bus record for retiring ``ins`` without side effects."""
     pc = state.pc
     nxt = (pc + INSTR_SIZE) & MASK16
-    bus = SignalBus(pc=pc, pc_prev=state.pc_prev, pc_next=nxt, inst=ins.op)
     op = ins.op
-    if op is Op.MOV:
+    bus = SignalBus(pc, state.pc_prev, nxt, op)
+    if op is MOV:
         m = ins.mode
         if m == M_ABS_LOAD:
             bus.d_addr = ins.imm
@@ -402,28 +426,29 @@ def predict_bus(state: McuState, ins: Instr) -> SignalBus:
             bus.w_en, bus.d_addr = True, (state.regs[ins.rd] + ins.imm) & MASK16
         if m != M_IMM and m != M_REG:
             state._locate(bus.d_addr, 2)    # faults an unmapped access uncommitted
-    elif op in (Op.CALL, Op.CALLI, Op.PUSH):
+    elif op is CALL or op is CALLI or op is PUSH:
         if state.sp - 2 < state.layout.dmem_base:
             raise FaultError("stack-overflow")
         bus.w_en, bus.d_addr = True, (state.sp - 2) & MASK16
-        if op is Op.CALL:
+        if op is CALL:
             bus.pc_next = ins.imm
-        elif op is Op.CALLI:
+        elif op is CALLI:
             bus.pc_next = state.regs[ins.rs]
-    elif op in (Op.POP, Op.RET, Op.RETI):
+    elif op is POP or op is RET or op is RETI:
         if not _sp_ok(state):
             raise FaultError("stack-underflow")
-        if op in (Op.RET, Op.RETI):
+        if op is not POP:
             bus.pc_next = state.read16(state.sp)
-    elif op is Op.JMP:
+    elif op is JMP:
         bus.pc_next = ins.imm
-    elif op is Op.JZ:
+    elif op is JZ:
         bus.pc_next = ins.imm if state.z else nxt
-    elif op is Op.JNZ:
+    elif op is JNZ:
         bus.pc_next = ins.imm if not state.z else nxt
-    elif op is Op.HALT:
+    elif op is HALT:
         bus.pc_next = pc
-    _dma_ride(state, bus)
+    if state.dma.remaining > 0:
+        _dma_ride(state, bus)
     return bus
 
 
@@ -434,14 +459,13 @@ def _sp_ok(state: McuState) -> bool:
 def _dma_advance(state: McuState) -> None:
     """Land the DMA engine's next byte; a byte outside DMEM is dropped.  RoT
     rule (a) vetoes every record whose DMA byte aims at PMEM, so on the
-    device DMA never writes PMEM."""
+    device DMA never writes PMEM.  Called only while bytes remain."""
     d = state.dma
-    if d.remaining > 0:
-        off = d.next_addr - state.layout.dmem_base
-        if 0 <= off < len(state.dmem):
-            state.dmem[off] = d.value & 0xFF
-        d.next_addr += 1
-        d.remaining -= 1
+    off = d.next_addr - state.layout.dmem_base
+    if 0 <= off < len(state.dmem):
+        state.dmem[off] = d.value & 0xFF
+    d.next_addr += 1
+    d.remaining -= 1
 
 
 def apply_instr(state: McuState, ins: Instr, bus: SignalBus) -> None:
@@ -449,7 +473,7 @@ def apply_instr(state: McuState, ins: Instr, bus: SignalBus) -> None:
     same state."""
     op = ins.op
     r = state.regs
-    if op is Op.MOV:
+    if op is MOV:
         m = ins.mode
         if m == M_IMM:
             r[ins.rd] = ins.imm
@@ -460,37 +484,38 @@ def apply_instr(state: McuState, ins: Instr, bus: SignalBus) -> None:
         else:
             src = r[ins.rs]
             state.write16(bus.d_addr, src)
-    elif op in (Op.ADD, Op.SUB, Op.CMP):
+    elif op is ADD or op is SUB or op is CMP:
         a = r[ins.rd]
         b = ins.imm if ins.mode == M_IMM else r[ins.rs]
-        res = (a + b) & MASK16 if op is Op.ADD else (a - b) & MASK16
+        res = (a + b) & MASK16 if op is ADD else (a - b) & MASK16
         state.z = res == 0
-        if op is not Op.CMP:
+        if op is not CMP:
             r[ins.rd] = res
-    elif op in (Op.CALL, Op.CALLI):
+    elif op is CALL or op is CALLI:
         state.sp -= 2
         state.write16(state.sp, (bus.pc + INSTR_SIZE) & MASK16)
-    elif op is Op.PUSH:
+    elif op is PUSH:
         state.sp -= 2
         state.write16(state.sp, r[ins.rs])
-    elif op is Op.POP:
+    elif op is POP:
         r[ins.rd] = state.read16(state.sp)
         state.sp += 2
-    elif op in (Op.RET, Op.RETI):
+    elif op is RET or op is RETI:
         state.sp += 2
-        if op is Op.RETI:
+        if op is RETI:
             state.gie = True
-    elif op is Op.EINT:
+    elif op is EINT:
         state.gie = True
-    elif op is Op.DINT:
+    elif op is DINT:
         state.gie = False
-    elif op is Op.HALT:
+    elif op is HALT:
         state.halted = True
     state.pc_prev = bus.pc
     state.pc = bus.pc_next
     state.retired += 1
     state.cycle += 1
-    _dma_advance(state)
+    if state.dma.remaining > 0:
+        _dma_advance(state)
 
 
 def step(state: McuState) -> tuple[McuState, SignalBus]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .isa import INSTR_SIZE, BRANCH_OPS, Op
+from .isa import INSTR_SIZE, BRANCH_OPS, JNZ, JZ
 from .mcu import (MD_AR_MIN, MD_CF_SIZE, METADATA, SLOT, TIMER, MemoryLayout,
                   SignalBus)
 
@@ -131,9 +131,9 @@ def is_branch_record(bus: SignalBus) -> bool:
     if bus.irq_acc:
         return True
     op = bus.inst
-    if op is None or op not in BRANCH_OPS:
+    if op not in BRANCH_OPS:
         return False
-    if op in (Op.JZ, Op.JNZ) and bus.pc_next == (bus.pc + INSTR_SIZE) & 0xFFFF:
+    if (op is JZ or op is JNZ) and bus.pc_next == (bus.pc + INSTR_SIZE) & 0xFFFF:
         return False      # not taken: no transfer occurs
     return True
 
@@ -165,12 +165,16 @@ class LoopState:
 # The composite monitor
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class MonitorEvent:
     """What one record did that a caller reads: the entry it appended and
     the trigger it raised."""
     entry: tuple[int, int] | None = None
     trigger: TriggerKind | None = None
+
+
+# The event of every record that appends no entry and raises no trigger.
+NO_EVENT = MonitorEvent()
 
 
 class CfaMonitor:
@@ -186,6 +190,7 @@ class CfaMonitor:
         self._ar_off = md_off + MD_AR_MIN
         self._log_off = layout.cflog_base - layout.dmem_base
         self._max_entries = layout.max_entries
+        self._flush_level = layout.max_entries - FLUSH_RESERVE
         self._ctr_max = (layout.pmem_base << 16) - 1
 
     # metadata field helpers (big-endian in data memory, identical to the wire)
@@ -202,6 +207,10 @@ class CfaMonitor:
 
     def _ar_bounds(self) -> tuple[int, int]:
         return SLOT.unpack_from(self.dmem, self._ar_off)
+
+    def _ar_max(self) -> int:
+        o = self._ar_off + 2
+        return (self.dmem[o] << 8) | self.dmem[o + 1]
 
     def arm_timer(self) -> None:
         off = self.layout.timer_reg - self.layout.dmem_base
@@ -220,33 +229,43 @@ class CfaMonitor:
         """Digest one committed bus record: update the loop state, the log
         and its fill counter, and report any trigger that the record caused.
         Must be called after veto checks passed."""
-        ev = MonitorEvent()
+        pc = bus.pc
+        branch = is_branch_record(bus)
+        if not branch and not self.timer_count and pc != self.layout.tcb_max \
+                and pc != self._ar_max() and self.cf_size < self._flush_level:
+            # nothing to log, no exit to clear the log at, and no trigger:
+            # not region end (pc is not ar_max), not log full, timer disarmed
+            return NO_EVENT
 
         # Trusted-software exit frees the log for the next slice.
-        if bus.pc == self.layout.tcb_max and bus.inst is not None:
+        if pc == self.layout.tcb_max and bus.inst is not None:
             self._set_cf_size(0)
             self.loop.reset()
 
-        if is_branch_record(bus):
-            self._log_transfer(bus, ev)
+        entry = self._log_transfer(bus) if branch else None
+        trigger = self._trigger_eval(bus)
+        if entry is None and trigger is None:
+            return NO_EVENT
+        return MonitorEvent(entry, trigger)
 
-        ev.trigger = self._trigger_eval(bus)
-        return ev
-
-    def _log_transfer(self, bus: SignalBus, ev: MonitorEvent) -> None:
-        ar_min, ar_max = self._ar_bounds()
+    def _log_transfer(self, bus: SignalBus) -> tuple[int, int] | None:
+        """Log the transfer on a branch record; the entry appended, if any."""
         src, dest = transfer_of(bus)
-        if self.cf_size >= self._max_entries \
-                or not (ar_min <= src <= ar_max or ar_min <= dest <= ar_max):
-            return
-
         loop = self.loop
-        if (src, dest) == (loop.src_loop, loop.dest_loop) and loop.ctr < self._ctr_max:
+        if src == loop.src_loop and dest == loop.dest_loop \
+                and loop.ctr < self._ctr_max and self.cf_size < self._max_entries:
             # a repeat of the last logged jump: count it in the uncommitted
-            # slot at the fill level
+            # slot at the fill level.  The pair passed the region test when
+            # it was logged, and the bounds change only inside a session,
+            # whose exit (or reset) clears the loop state first.
             loop.ctr += 1
             self._write_counter(loop)
-            return
+            return None
+
+        ar_min, ar_max = self._ar_bounds()
+        if self.cf_size >= self._max_entries \
+                or not (ar_min <= src <= ar_max or ar_min <= dest <= ar_max):
+            return None
         if loop.ctr > 1:
             # loop left, or its counter saturated: commit the counter slot,
             # then log this transfer
@@ -254,13 +273,14 @@ class CfaMonitor:
             loop.ctr = 1
         loop.src_loop, loop.dest_loop = src, dest
         if self.cf_size < self._max_entries:
-            self._append(src, dest, ev)
+            return self._append(src, dest)
+        return None
 
-    def _append(self, src: int, dest: int, ev: MonitorEvent) -> None:
+    def _append(self, src: int, dest: int) -> tuple[int, int]:
         slot = self.cf_size
         SLOT.pack_into(self.dmem, self._log_off + SLOT.size * slot, src, dest)
         self._set_cf_size(slot + 1)
-        ev.entry = (src, dest)
+        return src, dest
 
     def _write_counter(self, loop: LoopState) -> None:
         SLOT.pack_into(self.dmem, self._log_off + SLOT.size * self.cf_size,
@@ -268,9 +288,9 @@ class CfaMonitor:
 
     def _trigger_eval(self, bus: SignalBus) -> TriggerKind | None:
         lay = self.layout
-        ar_min, ar_max = self._ar_bounds()
+        ar_max = self._ar_max()
         region_end = bus.inst is not None and ar_max != 0 and bus.pc == ar_max
-        flush = self.cf_size >= self._max_entries - FLUSH_RESERVE
+        flush = self.cf_size >= self._flush_level
         timer = False
         if self.timer_count > 0 and not lay.in_tcb(bus.pc):
             self.timer_count -= 1

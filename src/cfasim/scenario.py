@@ -127,6 +127,9 @@ def run_image(image: ProgramImage, ar: tuple[int, int], layout: MemoryLayout,
     if len(input_bytes) > layout.input_size:
         raise ValueError(f"input is {len(input_bytes)} bytes; the input region "
                          f"holds {layout.input_size}")
+    if update_image is not None and not layout.fits_app_region(update_image):
+        raise ValueError(f"update image outside the application region "
+                         f"[{layout.s_base:#06x}, {layout.pmem_end:#06x})")
     channel = Channel(channel_policy or ChannelPolicy())
     device = Device(image, layout, DeviceKey(key_bytes), policy=policy,
                     heal_action=heal_action, update_image=update_image,

@@ -359,23 +359,68 @@ done:   NOP
                    + b"".join(SLOT.pack(*e) for e in report.entries))
             assert report.h == hmac.new(_derive_key(5), msg, hashlib.sha256).digest()
 
-    def test_oversized_update_falls_back_to_reboot(self):
+    def test_update_rewrites_code_the_old_image_ran(self):
+        """The patch puts different instructions at addresses the old image
+        already executed.  After the heal the core must run the new bytes
+        (``McuState.store`` empties the decode cache), so the reports from
+        the post-heal boot on decompress to the patched image's golden
+        trace."""
+        from helpers.golden import golden_region_trace
+        from cfasim.apps import encode_input, overflow_input
+        from cfasim.mcu import ProgramImage, Segment, render_pmem
+        from test_acceptance import app_level
+
+        fx = FIXTURES["password"]
+        res = run_scenario(ScenarioConfig(app="password", input_kind="overflow",
+                                          heal_action=HealAction.UPDATE,
+                                          keep_trace=True))
+        assert res.outcome is Outcome.COMPLETED
+        lay = res.device.layout
+        old = assemble(fx.source, entry=lay.tcb_min)
+        new = assemble(fx.patched_source, entry=lay.tcb_min)
+        old_pmem, new_pmem = render_pmem(old.image, lay), render_pmem(new.image, lay)
+
+        trace = res.device.trace
+        heal_at = next(i for i, b in enumerate(trace) if b.w_en and lay.in_pmem(b.d_addr))
+        ran = {b.pc for b in trace[:heal_at] if b.inst is not None and b.pc >= lay.s_base}
+        rewritten = [pc for pc in ran
+                     if old_pmem[pc - lay.pmem_base:pc - lay.pmem_base + 4]
+                     != new_pmem[pc - lay.pmem_base:pc - lay.pmem_base + 4]]
+        assert rewritten
+
+        boot = max(i for i, r in enumerate(res.reports) if r.trigger is TriggerKind.BOOT)
+        assert boot > 0
+        data = Segment(lay.input_base, encode_input(overflow_input(old.symbols)))
+        patched = ProgramImage(new.image.entry, new.image.segments + (data,))
+        ar = (new.symbols["app_main"], new.symbols["done"])
+        want = golden_region_trace(patched, lay, ar)
+        assert len(want) > 10
+        assert app_level(res.reports[boot:], lay) == want
+
+    def test_oversized_update_is_rejected(self):
+        # an update image that reaches into the TCB cannot be healed onto
+        # the device; a reboot in its place would leave the verifier
+        # expecting the new image, so both entry points refuse it up front
+        from cfasim.device import Device
+        from cfasim.mcu import ImageError, ProgramImage, Segment
+        from cfasim.tcb import DeviceKey
         fx = FIXTURES["password"]
         built = assemble(fx.source, entry=LAY.tcb_min)
         ar = (built.symbols["app_main"], built.symbols["done"])
-        from cfasim.mcu import ProgramImage, Segment
-        from cfasim.apps import encode_input, overflow_input
         bogus = ProgramImage(LAY.tcb_min, (Segment(LAY.tcb_min, b"\x00" * 8),))
-        result = run_image(built.image, ar, LAY, key_bytes=_derive_key(3),
-                           heal_action=HealAction.UPDATE, update_image=bogus,
-                           input_bytes=encode_input(overflow_input(built.symbols)),
-                           cycle_budget=2_000_000)
-        dev = result.device
-        # reboot path: a boot-triggered session follows the heal
-        boots = [r for r in result.reports if r.trigger is TriggerKind.BOOT]
-        assert boots
-        assert bytes(dev.state.pmem[0x9000 - LAY.pmem_base:0x9010 - LAY.pmem_base]) \
-            != bytes(16)   # old image still in place
+        past_end = ProgramImage(LAY.tcb_min, (Segment(LAY.pmem_end - 4, b"\x00" * 8),))
+        for image in (bogus, past_end):
+            assert not LAY.fits_app_region(image)
+            with pytest.raises(ValueError, match="application region"):
+                run_image(built.image, ar, LAY, key_bytes=_derive_key(3),
+                          heal_action=HealAction.UPDATE, update_image=image)
+            with pytest.raises(ImageError):
+                Device(built.image, LAY, DeviceKey(_derive_key(3)),
+                       heal_action=HealAction.UPDATE, update_image=image)
+        assert LAY.fits_app_region(built.image)
+        tail = ProgramImage(LAY.tcb_min, (Segment(LAY.s_base, b"\x00" * 4),
+                                          Segment(LAY.pmem_end - 4, b"\x00" * 4)))
+        assert LAY.fits_app_region(tail)
 
 
 class TestTrustedSoftwareRecords:
@@ -547,3 +592,90 @@ class TestResponseHandling:
         assert res.outcome is Outcome.COMPLETED
         # duplicate responses bounce off challenge monotonicity
         assert res.device.stats.n_rejected_responses >= 1
+
+
+class TestVetoSkip:
+    """``Device._commit`` skips the rules on a record that writes nothing
+    (no ``w_en``, ``dma_en`` or ``irq_acc``) while the RoT is in application
+    mode and neither ``pc`` nor ``pc_next`` lies in the TCB.  Every record
+    these runs commit is checked here: the rules ran on it exactly when the
+    guard fails, and when it holds all three rules pass it under the RoT
+    state the run itself had."""
+
+    @staticmethod
+    def record_rules(monkeypatch):
+        from collections import Counter
+        from cfasim.device import Device
+        from cfasim.monitor import boundary_check, timer_write_check
+        from cfasim.rot import Mode, RotState, rot_check
+
+        counts = Counter()
+        checked = set()
+        commit, vetoed = Device._commit, Device._vetoed
+
+        def vetoed_spy(self, bus):
+            checked.add(id(bus))
+            return vetoed(self, bus)
+
+        def commit_spy(self, bus, cycles):
+            rot = RotState(self.rot.mode, self.rot.heal_latch)
+            checked.discard(id(bus))
+            ev = commit(self, bus, cycles)
+            lay = self.layout
+            guard = not (bus.w_en or bus.dma_en or bus.irq_acc) \
+                and rot.mode is Mode.APP \
+                and not lay.in_tcb(bus.pc) and not lay.in_tcb(bus.pc_next)
+            assert (id(bus) in checked) is not guard, bus
+            if guard:
+                assert boundary_check(bus, lay) is None, bus
+                assert timer_write_check(bus, lay) is None, bus
+                assert rot_check(bus, rot, lay) is None, bus
+            counts["skipped" if guard else "checked"] += 1
+            return ev
+
+        monkeypatch.setattr(Device, "_vetoed", vetoed_spy)
+        monkeypatch.setattr(Device, "_commit", commit_spy)
+        return counts
+
+    def test_criterion_1_corpus(self, monkeypatch):
+        import hashlib
+        from helpers.progen import SMALL_LAYOUT, generate
+
+        counts = self.record_rules(monkeypatch)
+        for seed in range(100):
+            prog = generate(seed)
+            res = assemble(prog.source, entry=SMALL_LAYOUT.tcb_min)
+            run_image(res.image, (res.symbols["main"], res.symbols["fin"]),
+                      SMALL_LAYOUT, key_bytes=hashlib.sha256(b"c1:%d" % seed).digest(),
+                      events=DeviceEvents(irq_at_retire=prog.irq_at_retire),
+                      ivt_targets=tuple(res.symbols[l] for l in prog.isr_labels))
+        assert counts["skipped"] > 10 * counts["checked"] > 0
+
+    def test_criterion_5_interference_classes(self, monkeypatch):
+        counts = self.record_rules(monkeypatch)
+        resets = []
+        for attack in ("MOV &0x0200, r1", "MOV &0x0104, r1", "JMP 0x8008",
+                       "MOV &0x0050, r1"):
+            result, _ = run_src(one_shot(f"        CALL work\n        {attack}")
+                                + "work:   RET\n")
+            resets.append(result.device.last_reset)
+        fx = FIXTURES["few_branch"]
+        built = assemble(fx.source, entry=LAY.tcb_min)
+        for event in (AttackEvent(at_cycle=140_000, kind="dma", count=2, value=0xFF,
+                                  addr=LAY.metadata_base),
+                      AttackEvent(at_cycle=140_000, kind="force-irq", line=3)):
+            result = run_image(built.image, (built.symbols["main"], built.symbols["fin"]),
+                               LAY, key_bytes=_derive_key(5),
+                               events=DeviceEvents(attacks=[event]),
+                               channel_policy=ChannelPolicy(latency=300_000))
+            resets.append(result.device.last_reset)
+        assert None not in resets and len(set(resets)) == 6
+        assert counts["skipped"] > 0 and counts["checked"] > 0
+
+    @pytest.mark.parametrize("app", sorted(FIXTURES))
+    def test_fixtures_under_update_heal(self, monkeypatch, app):
+        counts = self.record_rules(monkeypatch)
+        res = run_scenario(ScenarioConfig(app=app, input_kind="overflow",
+                                          heal_action=HealAction.UPDATE))
+        assert res.outcome is Outcome.COMPLETED
+        assert counts["skipped"] > 0 and counts["checked"] > 0

@@ -8,6 +8,7 @@ from pathlib import Path
 import cfasim.device
 import cfasim.mcu
 from cfasim.scenario import ScenarioConfig, run_scenario
+from cfasim.tcb import HealAction
 
 LAYERS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -31,3 +32,18 @@ def test_tracer_counts_core_and_monitor_work():
     # every wrapped name is restored on exit
     assert cfasim.device.predict_bus is cfasim.mcu.predict_bus
     assert not hasattr(cfasim.mcu.predict_bus, "__wrapped__")
+
+
+def test_tracer_counts_one_call_per_record_and_retirement():
+    """``monitor.records`` counts ``CfaMonitor.observe`` calls and
+    ``mcu.instr_retired`` counts ``apply_instr`` calls: one per committed
+    record (each lands in the trace) and one per retired instruction."""
+    layers = load_layers()
+    cfg = ScenarioConfig(app="password", input_kind="overflow",
+                         heal_action=HealAction.UPDATE, keep_trace=True)
+    with layers.LayerTracer() as tracer:
+        res = run_scenario(cfg)
+    assert tracer.counts["monitor.records"] == len(res.device.trace)
+    assert tracer.counts["mcu.instr_retired"] == res.device.state.retired
+    assert sum(b.inst is not None for b in res.device.trace) \
+        > res.device.state.retired > 0

@@ -3,11 +3,11 @@ import copy
 import pytest
 
 from cfasim.asm import assemble
-from cfasim.isa import Op
+from cfasim.isa import M_IMM, Instr, Op
 from cfasim.mcu import (METADATA, NMI_LINE, NUM_IRQ_LINES, TIMER, FaultError,
                         ImageError, LayoutError, MemoryLayout, ProgramImage,
-                        Segment, load_image, raise_irq, render_pmem, reset,
-                        step)
+                        Segment, _fetch, load_image, raise_irq, render_pmem,
+                        reset, step)
 
 
 def boot(source, layout=None, entry=None):
@@ -356,3 +356,59 @@ class TestDma:
         _, bus = step(st)
         assert not bus.dma_en
         assert st.dmem[0x1000] == 0x7F and st.dmem[0x1001] == 0x7F
+
+
+class TestDecodeCache:
+    SRC = """
+        .org 0x9000
+main:   MOV r1, #1
+        ADD r1, #2
+        HALT
+"""
+
+    def test_pmem_store_invalidates(self):
+        st, sym = boot(self.SRC)
+        st.pc = sym["main"]
+        assert _fetch(st).op is Op.MOV
+        assert st.decoded
+        st.store(sym["main"], Instr(Op.SUB, M_IMM, 1, 0, 7).encode())
+        assert not st.decoded
+        assert _fetch(st) == Instr(Op.SUB, M_IMM, 1, 0, 7)
+
+    def test_dmem_store_keeps_cache(self):
+        st, sym = boot(self.SRC)
+        st.pc = sym["main"]
+        ins = _fetch(st)
+        st.store(0x1000, b"\xff\xff")
+        st.write16(st.layout.cflog_base, 0xBEEF)
+        assert st.decoded == {sym["main"]: ins}
+        assert _fetch(st) is ins
+
+    def test_illegal_opcode_faults_on_every_fetch(self):
+        st, sym = boot(self.SRC)
+        st.pc = sym["main"]
+        st.store(sym["main"], bytes([31 << 3, 0, 0, 0]))   # opcode class 31
+        for _ in range(3):
+            with pytest.raises(FaultError, match="illegal-opcode"):
+                _fetch(st)
+            assert sym["main"] not in st.decoded
+
+    def test_cached_run_matches_fresh_decode(self):
+        # a program that rewrites nothing retires the same records with the
+        # cache warm as with it emptied before every fetch
+        src = """
+        .org 0x9000
+main:   MOV r1, #3
+loop:   SUB r1, #1
+        JNZ loop
+        HALT
+"""
+        warm, _ = boot(src)
+        cold = copy.deepcopy(warm)
+        warm.pc = cold.pc = warm.layout.s_base
+        cold_buses = []
+        while not cold.halted:
+            cold.decoded.clear()
+            cold_buses.append(step(cold)[1])
+        assert run_to_halt(warm) == cold_buses
+        assert len(warm.decoded) == 4

@@ -299,3 +299,86 @@ class TestReplayPurity:
         assert accepted[-1] == NMI_LINE        # ended in the trigger session
         assert read_metadata(replayed, lay).cf_size > 0
         assert_same_log(dev.state.dmem, replayed, lay)
+
+
+class TestLoopRepeat:
+    def test_not_taken_conditional_is_not_a_repeat(self):
+        """An interrupt accepted right after the conditional at ``s`` with
+        its vector at ``s + 4`` logs ``(s, s + 4)``; the same conditional
+        later falls through, which is the same pair but no transfer.  The
+        jump back to it leaves and enters no attested address, so nothing
+        is logged in between: only the branch test keeps the fall-through
+        from counting as a loop repeat."""
+        from helpers.golden import golden_region_trace
+        from cfasim.scenario import decompress_entries
+
+        lay = MemoryLayout()
+        built = assemble("""
+        .org 0x9000
+main:   MOV r1, #2
+        EINT
+again:  CMP r1, #0
+s:      JZ done
+after:  SUB r1, #1          ; line 1 vectors here
+        JMP again
+done:   HALT
+        .org 0x0042
+        .word after
+""", entry=lay.tcb_min)
+        sym = built.symbols
+        s, after = sym["s"], sym["after"]
+        assert after == s + 4
+        ar = (after, after + 2)             # no retiring pc ends the region
+        irqs = {3: (1,)}                    # raised after CMP, taken after JZ
+        dev, _ = drive_and_replay(built.image, lay, ar, sym["main"], 100,
+                                  events=DeviceEvents(irq_at_retire=irqs))
+        assert dev.mode is DeviceMode.HALTED
+        acc = next(i for i, b in enumerate(dev.trace) if b.irq_acc)
+        assert any(b.pc == s and b.pc_next == after for b in dev.trace[acc + 1:])
+        loop = dev.monitor.loop
+        assert (loop.src_loop, loop.dest_loop) == (s, after)
+
+        md = read_metadata(dev.state.dmem, lay)
+        pending = 1 if loop.ctr > 1 else 0      # an uncommitted counter slot
+        got = decompress_entries(read_log_entries(dev.state.dmem, lay,
+                                                  md.cf_size + pending))
+        want = golden_region_trace(built.image, lay, ar, irqs)
+        assert want == [(s, after)]
+        assert got == want
+
+
+class TestObserveEarlyOut:
+    """A non-branch record returns the shared empty event without touching
+    memory only while the timer is disarmed, pc is neither tcb_max nor
+    ar_max and the log is below the flush level; breaking any one of these
+    gives the record its effect."""
+
+    def test_quiet_record_has_no_effect(self):
+        from cfasim.monitor import NO_EVENT
+        mon, lay = fresh_monitor()
+        before = bytes(mon.dmem)
+        assert mon.observe(rec(pc=0x9100, inst=Op.MOV)) is NO_EVENT
+        assert bytes(mon.dmem) == before
+
+    def test_log_at_flush_level_triggers(self):
+        mon, lay = fresh_monitor(cflog_size=32)
+        write_metadata(mon.dmem, lay, Metadata(0, 0x9000, 0x9FFC,
+                                               lay.max_entries - FLUSH_RESERVE))
+        assert mon.observe(rec(pc=0x9100, inst=Op.MOV)).trigger is TriggerKind.LOG_FULL
+
+    def test_region_end_triggers(self):
+        mon, lay = fresh_monitor(ar=(0x9000, 0x9100))
+        assert mon.observe(rec(pc=0x9100, inst=Op.NOP)).trigger is TriggerKind.REGION_END
+
+    def test_armed_timer_counts_down(self):
+        mon, lay = fresh_monitor()
+        mon.timer_count = 2
+        assert mon.observe(rec(pc=0x9100, inst=Op.MOV)).trigger is None
+        assert mon.timer_count == 1
+        assert mon.observe(rec(pc=0x9104, inst=Op.MOV)).trigger is TriggerKind.TIMER
+
+    def test_exit_point_clears_log(self):
+        mon, lay = fresh_monitor()
+        write_metadata(mon.dmem, lay, Metadata(0, 0x9000, 0x9FFC, 3))
+        mon.observe(rec(pc=lay.tcb_max, inst=Op.MOV))
+        assert mon.cf_size == 0
