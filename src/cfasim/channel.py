@@ -78,18 +78,22 @@ class Channel:
         self._sent[endpoint] += 1
         if self._sent[endpoint] <= pol.drop_first:
             return
-        if self._blacked_out(at_cycle):
+        if pol.blackout_windows and self._blacked_out(at_cycle):
             return
-        if self._rng.random() < pol.drop_prob:
-            return
-        if self._rng.random() < pol.tamper_prob:
-            out = bytearray(frame)
-            pos = self._rng.randrange(len(out))
-            out[pos] ^= 1 + self._rng.randrange(255)
-            frame = bytes(out)
-        copies = 2 if self._rng.random() < pol.dup_prob else 1
-        for i in range(copies):
-            self._enqueue(endpoint, frame, at_cycle + pol.latency + i)
+        dup = False
+        if pol.drop_prob or pol.tamper_prob or pol.dup_prob:
+            # a lossless channel draws nothing: no draw could change a frame
+            if self._rng.random() < pol.drop_prob:
+                return
+            if self._rng.random() < pol.tamper_prob:
+                out = bytearray(frame)
+                pos = self._rng.randrange(len(out))
+                out[pos] ^= 1 + self._rng.randrange(255)
+                frame = bytes(out)
+            dup = self._rng.random() < pol.dup_prob
+        self._enqueue(endpoint, frame, at_cycle + pol.latency)
+        if dup:
+            self._enqueue(endpoint, frame, at_cycle + pol.latency + 1)
 
     def inject(self, endpoint: str, frame: bytes, at_cycle: int) -> None:
         """Adversarial injection/replay: bypasses drop/tamper policy."""

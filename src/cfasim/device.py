@@ -15,10 +15,17 @@ of which take the same veto-then-commit path as real instructions.
 Protected memory changes at run time in exactly two places: ``CfaMonitor``
 writes the log slots and ``cf_size``; ``Device._tcb_write`` lands each
 trusted-software store (metadata fields, timer reload, the heal's PMEM
-patches) after its store record commits.  A cache of protected state needs
-to follow only these two write paths.  Every PMEM store, the heal's patches
+patches) after its store record commits.  DMEM is the only store of the
+metadata: the monitor reads the region bounds and ``cf_size`` from it once
+per record, and a report frame carries the metadata and log bytes exactly
+as ``_session`` read them from it.  Every PMEM store, the heal's patches
 included, lands through ``McuState.store``, so the core's decode cache
 (``McuState.decoded``) follows that one PMEM write path: ``store`` empties it.
+
+Under best-effort resume a wait times out only once a response has issued a
+region (``ar_max`` in the metadata is not 0); before that the device keeps
+waiting and retransmitting, since a resumed application would run with
+nothing logged and nothing reported.
 """
 
 from __future__ import annotations
@@ -27,25 +34,25 @@ import enum
 from dataclasses import dataclass, field
 
 from .channel import Channel, PROVER, VERIFIER
-from .isa import Op
-from .mcu import (MD_AR_MIN, MD_CF_SIZE, METADATA, TIMER, FaultError,
+from .isa import JMP, MOV
+from .mcu import (MD_AR_MIN, MD_CF_SIZE, METADATA, SLOT, TIMER, FaultError,
                   ImageError, MemoryLayout, NMI_LINE, ProgramImage, SignalBus,
                   acceptable_line, apply_acceptance, apply_instr, _fetch,
                   load_image, predict_acceptance, predict_bus, raise_irq)
-from .monitor import (CfaMonitor, MonitorEvent, ResetReason, TriggerKind,
-                      boundary_check, read_log_entries, read_metadata,
-                      timer_write_check)
+from .monitor import (CfaMonitor, Metadata, MonitorEvent, ResetReason,
+                      TriggerKind, boundary_check, timer_write_check)
 from .rot import Mode, NMI_ACCEPT_BOUND, RotState, on_reset, rot_check
 from .tcb import (AUTH_CYCLES, HEAL_CYCLES, WAIT_POLL_CYCLES, DeviceKey,
                   HealAction, PolicyMode, WaitPolicy, authenticate_response,
                   tcb_att)
-from .wire import CfaReport, WireError, decode_response, encode_report
+from .wire import CfaReport, WireError, decode_response, report_frame
 
 TCB_EXIT_CYCLES = 8
 TICK_BURST = 64         # application cycles per tick
 
 # Read once per record; ``Mode.APP`` resolves through EnumType.__getattr__.
-_APP = Mode.APP
+_APP, _TCB = Mode.APP, Mode.TCB
+_STRICT, _RESUME = PolicyMode.STRICT, PolicyMode.BEST_EFFORT_RESUME
 
 
 class DeviceMode(enum.Enum):
@@ -53,6 +60,9 @@ class DeviceMode(enum.Enum):
     WAIT = "wait"
     HALTED = "halted"       # application executed HALT
     SHUTDOWN = "shutdown"   # remediation shut the device down
+
+
+_RUN, _WAIT = DeviceMode.RUN, DeviceMode.WAIT
 
 
 @dataclass
@@ -123,6 +133,8 @@ class Device:
         self._nmi_raised_cycle: int | None = None
         self._attack_idx = 0
         self._tcb = (layout.tcb_min, layout.tcb_max)
+        self._md_off = layout.metadata_base - layout.dmem_base
+        self._log_off = layout.cflog_base - layout.dmem_base
         self._report_frame: bytes | None = None
         self.wait_started = 0   # cycle the current wait began
         self._last_tx = 0
@@ -139,7 +151,7 @@ class Device:
 
     @property
     def running(self) -> bool:
-        return self.mode in (DeviceMode.RUN, DeviceMode.WAIT) \
+        return self.mode is _RUN or self.mode is _WAIT \
             or self._pending_session is not None
 
     def tick(self, channel: Channel, until: int | None = None) -> None:
@@ -151,15 +163,14 @@ class Device:
         if self._pending_session is not None:
             self._session(channel)
             return
-        if self.mode is DeviceMode.WAIT:
+        if self.mode is _WAIT:
             self._skip_idle_polls(channel, until)
             self._wait_poll(channel)
             return
-        run = DeviceMode.RUN    # read once, like _APP
-        if self.mode is not run:
+        if self.mode is not _RUN:
             return
         for _ in range(TICK_BURST):
-            if self.mode is not run or self._pending_session is not None:
+            if self.mode is not _RUN or self._pending_session is not None:
                 break
             self._run_cycle()
 
@@ -170,9 +181,12 @@ class Device:
     def _vetoed(self, bus: SignalBus) -> bool:
         """Evaluate the hardware rules on one bus record before any of its
         effects land; a veto resets the device into a violation session."""
-        reason = (boundary_check(bus, self.layout)
-                  or timer_write_check(bus, self.layout)
-                  or rot_check(bus, self.rot, self.layout))
+        lay = self.layout
+        reason = None
+        if bus.w_en or bus.dma_en:   # these two rules fire only on a write
+            reason = boundary_check(bus, lay) or timer_write_check(bus, lay)
+        if reason is None:
+            reason = rot_check(bus, self.rot, lay)
         if reason is not None:
             self._reset(reason)
         return reason is not None
@@ -204,7 +218,7 @@ class Device:
         st = self.state
         if self._attack_idx < len(self.events.attacks):
             self._apply_due_attacks()
-            if self.mode is not DeviceMode.RUN or self._pending_session is not None:
+            if self.mode is not _RUN or self._pending_session is not None:
                 return
 
         line = acceptable_line(st) if st.pending_irq else None
@@ -246,7 +260,7 @@ class Device:
             return
         if ev.trigger is not None:
             self._raise_trigger(ev.trigger)
-        if line is None:
+        if line is None and self.events.irq_at_retire:
             for irq_line in self.events.irq_at_retire.get(st.retired, ()):
                 raise_irq(st, irq_line)
 
@@ -261,7 +275,7 @@ class Device:
 
     def _enter_tcb(self, kind: TriggerKind, resume_ctx: tuple[int, bool, bool]) -> None:
         """Open a trusted-software session; it consumes any pending trigger."""
-        self.rot.mode = Mode.TCB
+        self.rot.mode = _TCB
         self._pending_session = kind
         self._resume_ctx = resume_ctx
         self._nmi_kind = None
@@ -295,7 +309,7 @@ class Device:
             if ev.kind == "dma":
                 # arming the engine is checked only; its byte writes ride on
                 # the records of the cycles that follow
-                bus = SignalBus(pc=pc, pc_prev=pc, pc_next=pc, inst=Op.MOV,
+                bus = SignalBus(pc=pc, pc_prev=pc, pc_next=pc, inst=MOV,
                                 dma_en=True, dma_addr=ev.addr)
                 if self._vetoed(bus):
                     return
@@ -320,17 +334,20 @@ class Device:
     def _session(self, channel: Channel) -> None:
         kind = self._pending_session
         self._pending_session = None
-        st, lay = self.state, self.layout
-        md = read_metadata(st.dmem, lay)
-        entries = read_log_entries(st.dmem, lay, md.cf_size)
+        st = self.state
+        # the frame carries the metadata and log bytes as they lie in DMEM
+        md_at, log_at = self._md_off, self._log_off
+        md_raw = st.dmem[md_at:md_at + METADATA.size]
+        md = Metadata(*METADATA.unpack(md_raw))
+        log_raw = st.dmem[log_at:log_at + SLOT.size * md.cf_size]
+        entries = tuple(SLOT.iter_unpack(log_raw))
         h, cost = tcb_att(self.key, st.pmem, md, entries)
         st.cycle += cost
         self.stats.att_cycles += cost
-        report = CfaReport(h, md, kind, tuple(entries))
-        self.reports.append(report)
-        self._report_frame = encode_report(report)
+        self.reports.append(CfaReport(h, md, kind, entries))
+        self._report_frame = report_frame(h, md_raw, kind, log_raw)
         channel.send(VERIFIER, self._report_frame, st.cycle)
-        self.mode = DeviceMode.WAIT
+        self.mode = _WAIT
         self.wait_started = st.cycle
         self._last_tx = st.cycle
 
@@ -342,16 +359,16 @@ class Device:
         ``until``.  Each skipped poll is charged to ``state.cycle`` and
         ``wait_cycles`` as an executed idle poll is, so every simulated
         cycle stays where one executed poll per 50 cycles put it."""
-        pol = self.policy
-        due = [self._last_tx + pol.retransmit_every,
-               channel.next_due(PROVER), channel.next_due(VERIFIER), until]
-        if pol.mode is not PolicyMode.STRICT:
-            due.append(self.wait_started + pol.timeout_cycles)
-        if self._attack_idx < len(self.events.attacks):
-            due.append(self.events.attacks[self._attack_idx].at_cycle)
+        attacks = self.events.attacks
+        attack = attacks[self._attack_idx].at_cycle \
+            if self._attack_idx < len(attacks) else None
+        first = self._last_tx + self.policy.retransmit_every
+        for t in (channel.next_due(PROVER), channel.next_due(VERIFIER), until,
+                  self._timeout_at(), attack):
+            if t is not None and t < first:
+                first = t
         # polls land at cycle + k * WAIT_POLL_CYCLES; the first to reach the
         # earliest due cycle runs, the ones before it are idle
-        first = min(t for t in due if t is not None)
         idle = (first - self.state.cycle - 1) // WAIT_POLL_CYCLES
         if idle > 0:
             self.state.cycle += idle * WAIT_POLL_CYCLES
@@ -363,9 +380,10 @@ class Device:
         st = self.state
         st.cycle += WAIT_POLL_CYCLES
         self.stats.wait_cycles += WAIT_POLL_CYCLES
-        self._apply_due_attacks()
-        if self.mode is not DeviceMode.WAIT:
-            return
+        if self._attack_idx < len(self.events.attacks):
+            self._apply_due_attacks()
+            if self.mode is not _WAIT:
+                return
 
         frame = channel.deliver(PROVER, st.cycle)
         if frame is not None:
@@ -375,23 +393,34 @@ class Device:
                 resp = decode_response(frame)
             except WireError:
                 resp = None
-            md = read_metadata(st.dmem, self.layout)
-            if resp is not None and authenticate_response(self.key, resp, md.chal):
+            chal = METADATA.unpack_from(st.dmem, self._md_off)[0]
+            if resp is not None and authenticate_response(self.key, resp, chal):
                 self._complete_session(resp)
                 return
             self.stats.n_rejected_responses += 1
 
-        pol = self.policy
-        if st.cycle - self._last_tx >= pol.retransmit_every:
+        if st.cycle - self._last_tx >= self.policy.retransmit_every:
             channel.send(VERIFIER, self._report_frame, st.cycle)
             self.stats.n_retransmits += 1
             self._last_tx = st.cycle
-        if pol.mode is not PolicyMode.STRICT and \
-                st.cycle - self.wait_started >= pol.timeout_cycles:
-            if pol.mode is PolicyMode.BEST_EFFORT_RESUME:
+        timeout = self._timeout_at()
+        if timeout is not None and st.cycle >= timeout:
+            if self.policy.mode is _RESUME:
                 self._exit_tcb()
             else:
                 self._heal()
+
+    def _timeout_at(self) -> int | None:
+        """The cycle at which the wait gives up, or None when it never does:
+        under the strict policy, and under best-effort resume while the
+        metadata holds no issued region (``ar_max`` is 0 until a response
+        sets it), where a resumed application would run unattested and
+        unreported."""
+        mode = self.policy.mode
+        if mode is _STRICT or (mode is _RESUME and
+                               METADATA.unpack_from(self.state.dmem, self._md_off)[2] == 0):
+            return None
+        return self.wait_started + self.policy.timeout_cycles
 
     def _complete_session(self, resp) -> None:
         if not self._tcb_write_metadata(resp.chal, resp.ar_min, resp.ar_max):
@@ -405,8 +434,7 @@ class Device:
         """The trusted software's one store path: commit an in-TCB store
         record to ``addr``, then land ``data`` there; False on a veto."""
         pc = self.layout.tcb_min
-        if self._commit(SignalBus(pc=pc, pc_prev=pc, pc_next=pc, inst=Op.MOV,
-                                  w_en=True, d_addr=addr), 1) is None:
+        if self._commit(SignalBus(pc, pc, pc, MOV, True, addr), 1) is None:
             return False
         self.state.store(addr, data)
         return True
@@ -415,15 +443,15 @@ class Device:
         """The one legal metadata write path: one in-TCB store per field
         (chal, ar_min, ar_max); ``cf_size`` stays the monitor's."""
         raw = METADATA.pack(chal, ar_min, ar_max, 0)
-        cuts = (0, MD_AR_MIN, MD_AR_MIN + 2, MD_CF_SIZE)   # chal | ar_min | ar_max
-        return all(self._tcb_write(self.layout.metadata_base + lo, raw[lo:hi])
-                   for lo, hi in zip(cuts, cuts[1:]))
+        base, ar_max_at = self.layout.metadata_base, MD_AR_MIN + 2
+        return (self._tcb_write(base, raw[:MD_AR_MIN])
+                and self._tcb_write(base + MD_AR_MIN, raw[MD_AR_MIN:ar_max_at])
+                and self._tcb_write(base + ar_max_at, raw[ar_max_at:MD_CF_SIZE]))
 
     def _exit_jump(self, dest: int, cycles: int) -> bool:
         """Commit the exit-point jump to ``dest``, which clears the log."""
         tcb_max = self.layout.tcb_max
-        bus = SignalBus(pc=tcb_max, pc_prev=tcb_max, pc_next=dest, inst=Op.JMP)
-        return self._commit(bus, cycles) is not None
+        return self._commit(SignalBus(tcb_max, tcb_max, dest, JMP), cycles) is not None
 
     def _exit_tcb(self) -> None:
         """Re-arm the periodic timer, then leave via the fixed exit point,
@@ -439,8 +467,8 @@ class Device:
         st.pc = resume
         st.pc_prev = lay.tcb_max
         st.gie, st.z = gie, z
-        self.rot.mode = Mode.APP
-        self.mode = DeviceMode.RUN
+        self.rot.mode = _APP
+        self.mode = _RUN
 
     def _heal(self) -> None:
         st, lay = self.state, self.layout

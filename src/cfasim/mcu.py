@@ -380,8 +380,8 @@ def predict_acceptance(state: McuState, line: int) -> SignalBus:
     A maskable acceptance pushes the interrupted pc; the NMI acceptance does
     not touch the stack (the trusted-software context is held by the RoT)."""
     target = state.ivt_target(line)
-    bus = SignalBus(pc=state.pc, pc_prev=state.pc_prev, pc_next=target,
-                    inst=None, irq_acc=True, irq_line=line)
+    bus = SignalBus(state.pc, state.pc_prev, target, None, False, 0, False, 0,
+                    True, line)
     if line != NMI_LINE:
         if state.sp - 2 < state.layout.dmem_base:
             raise FaultError("stack-overflow")

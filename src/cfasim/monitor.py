@@ -25,6 +25,7 @@ initial memory reproduces the identical log bytes.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 
 from .isa import INSTR_SIZE, BRANCH_OPS, JNZ, JZ
@@ -95,29 +96,41 @@ def read_log_entries(dmem: bytearray, layout: MemoryLayout, count: int) -> list[
 # Boundary monitor
 # ---------------------------------------------------------------------------
 
-def modify_mem(bus: SignalBus, member) -> bool:
-    """CPU or DMA write into the region described by predicate ``member``."""
-    return (bus.w_en and member(bus.d_addr)) or (bus.dma_en and member(bus.dma_addr))
+# Region bounds the rules compare against: the fixed ones once here, the
+# log's and the TCB's end from the layout.  The TCB opens PMEM.
+MD_LO = MemoryLayout.metadata_base
+MD_HI = MD_LO + METADATA.size
+LOG_LO = MemoryLayout.cflog_base
+TIMER_LO = MemoryLayout.timer_reg
+TIMER_HI = TIMER_LO + TIMER.size
+TCB_MIN = MemoryLayout.tcb_min
 
 
 def boundary_check(bus: SignalBus, layout: MemoryLayout) -> ResetReason | None:
     """Veto writes that would corrupt the log or, from untrusted code or DMA,
     the metadata record."""
-    if modify_mem(bus, layout.in_cflog):
+    w, dma = bus.w_en, bus.dma_en
+    if not (w or dma):
+        return None
+    log_hi = LOG_LO + layout.cflog_size
+    if (w and LOG_LO <= bus.d_addr < log_hi) or (dma and LOG_LO <= bus.dma_addr < log_hi):
         return ResetReason.CFLOG_WRITE
-    if modify_mem(bus, layout.in_metadata) and not layout.in_tcb(bus.pc):
-        return ResetReason.METADATA_WRITE
-    if bus.dma_en and layout.in_metadata(bus.dma_addr):
-        return ResetReason.DMA_METADATA
+    dma_md = dma and MD_LO <= bus.dma_addr < MD_HI
+    if dma_md or (w and MD_LO <= bus.d_addr < MD_HI):
+        if not TCB_MIN <= bus.pc <= layout.tcb_max:
+            return ResetReason.METADATA_WRITE
+        if dma_md:
+            return ResetReason.DMA_METADATA
     return None
 
 
 def timer_write_check(bus: SignalBus, layout: MemoryLayout) -> ResetReason | None:
     """The periodic-report deadline is configurable only by trusted software;
     DMA may never touch it."""
-    if bus.w_en and layout.in_timer(bus.d_addr) and not layout.in_tcb(bus.pc):
+    if bus.w_en and TIMER_LO <= bus.d_addr < TIMER_HI \
+            and not TCB_MIN <= bus.pc <= layout.tcb_max:
         return ResetReason.TIMER_WRITE
-    if bus.dma_en and layout.in_timer(bus.dma_addr):
+    if bus.dma_en and TIMER_LO <= bus.dma_addr < TIMER_HI:
         return ResetReason.TIMER_WRITE
     return None
 
@@ -136,13 +149,6 @@ def is_branch_record(bus: SignalBus) -> bool:
     if (op is JZ or op is JNZ) and bus.pc_next == (bus.pc + INSTR_SIZE) & 0xFFFF:
         return False      # not taken: no transfer occurs
     return True
-
-
-def transfer_of(bus: SignalBus) -> tuple[int, int]:
-    """(source, destination) pair of the transfer on this record.  For an
-    interrupt acceptance the source is the last retired instruction."""
-    src = bus.pc if bus.inst is not None else bus.pc_prev
-    return src, bus.pc_next
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +179,31 @@ class MonitorEvent:
     trigger: TriggerKind | None = None
 
 
-# The event of every record that appends no entry and raises no trigger.
+# Read once; a member read through the class resolves in EnumType.
+_REGION_END, _LOG_FULL, _TIMER_EXPIRY = (TriggerKind.REGION_END,
+                                         TriggerKind.LOG_FULL, TriggerKind.TIMER)
+# The event of every record that appends no entry and raises no trigger,
+# and the one event of each trigger raised without an entry.
 NO_EVENT = MonitorEvent()
+TIMER_EVENT = MonitorEvent(None, _TIMER_EXPIRY)
+LOG_FULL_EVENT = MonitorEvent(None, _LOG_FULL)
+_SHARED_EVENTS = {None: NO_EVENT, _TIMER_EXPIRY: TIMER_EVENT,
+                  _REGION_END: MonitorEvent(None, _REGION_END),
+                  _LOG_FULL: LOG_FULL_EVENT}
+
+# The metadata fields the monitor reads on every record, from MD_AR_MIN on,
+# and the one it writes.
+_AR_CF = struct.Struct(">HHH")      # ar_min | ar_max | cf_size
+_CF_SIZE = struct.Struct(">H")
+assert MD_CF_SIZE == MD_AR_MIN + 4
 
 
 class CfaMonitor:
     """Stateful composition of the sub-monitors over one device's memory."""
+
+    __slots__ = ("dmem", "layout", "loop", "timer_count", "_cf_off", "_ar_off",
+                 "_log_off", "_tcb_min", "_tcb_max", "_max_entries",
+                 "_flush_level", "_ctr_max")
 
     def __init__(self, dmem: bytearray, layout: MemoryLayout):
         self.dmem = dmem
@@ -189,6 +214,7 @@ class CfaMonitor:
         self._cf_off = md_off + MD_CF_SIZE
         self._ar_off = md_off + MD_AR_MIN
         self._log_off = layout.cflog_base - layout.dmem_base
+        self._tcb_min, self._tcb_max = layout.tcb_min, layout.tcb_max
         self._max_entries = layout.max_entries
         self._flush_level = layout.max_entries - FLUSH_RESERVE
         self._ctr_max = (layout.pmem_base << 16) - 1
@@ -197,20 +223,10 @@ class CfaMonitor:
 
     @property
     def cf_size(self) -> int:
-        o = self._cf_off
-        return (self.dmem[o] << 8) | self.dmem[o + 1]
+        return _CF_SIZE.unpack_from(self.dmem, self._cf_off)[0]
 
     def _set_cf_size(self, v: int) -> None:
-        o = self._cf_off
-        self.dmem[o] = (v >> 8) & 0xFF
-        self.dmem[o + 1] = v & 0xFF
-
-    def _ar_bounds(self) -> tuple[int, int]:
-        return SLOT.unpack_from(self.dmem, self._ar_off)
-
-    def _ar_max(self) -> int:
-        o = self._ar_off + 2
-        return (self.dmem[o] << 8) | self.dmem[o + 1]
+        _CF_SIZE.pack_into(self.dmem, self._cf_off, v)
 
     def arm_timer(self) -> None:
         off = self.layout.timer_reg - self.layout.dmem_base
@@ -228,77 +244,81 @@ class CfaMonitor:
     def observe(self, bus: SignalBus) -> MonitorEvent:
         """Digest one committed bus record: update the loop state, the log
         and its fill counter, and report any trigger that the record caused.
-        Must be called after veto checks passed."""
+        Must be called after veto checks passed.  The region bounds and the
+        fill level are read from DMEM once, here."""
         pc = bus.pc
-        branch = is_branch_record(bus)
-        if not branch and not self.timer_count and pc != self.layout.tcb_max \
-                and pc != self._ar_max() and self.cf_size < self._flush_level:
-            # nothing to log, no exit to clear the log at, and no trigger:
-            # not region end (pc is not ar_max), not log full, timer disarmed
-            return NO_EVENT
+        ar_min, ar_max, cf_size = _AR_CF.unpack_from(self.dmem, self._ar_off)
+        # most records are neither an acceptance nor a branch instruction
+        branch = (bus.irq_acc or bus.inst in BRANCH_OPS) and is_branch_record(bus)
+        if not branch and pc != self._tcb_max and pc != ar_max:
+            # nothing to log, no exit to clear the log at, not region end
+            # (pc is not ar_max): only log full or an armed timer can fire
+            count = self.timer_count
+            if count and not self._tcb_min <= pc <= self._tcb_max:
+                self.timer_count = count - 1
+                if cf_size < self._flush_level:
+                    return TIMER_EVENT if count == 1 else NO_EVENT
+            return LOG_FULL_EVENT if cf_size >= self._flush_level else NO_EVENT
 
         # Trusted-software exit frees the log for the next slice.
-        if pc == self.layout.tcb_max and bus.inst is not None:
+        if pc == self._tcb_max and bus.inst is not None:
+            cf_size = 0
             self._set_cf_size(0)
             self.loop.reset()
 
-        entry = self._log_transfer(bus) if branch else None
-        trigger = self._trigger_eval(bus)
-        if entry is None and trigger is None:
-            return NO_EVENT
+        entry = None
+        if branch:
+            entry, cf_size = self._log_transfer(bus, ar_min, ar_max, cf_size)
+
+        # triggers, by priority: region end, log full, timer expiry
+        timer = False
+        if self.timer_count > 0 and not self._tcb_min <= pc <= self._tcb_max:
+            self.timer_count -= 1
+            timer = self.timer_count == 0
+        if bus.inst is not None and ar_max != 0 and pc == ar_max:
+            trigger = _REGION_END
+        elif cf_size >= self._flush_level:
+            trigger = _LOG_FULL
+        elif timer:
+            trigger = _TIMER_EXPIRY
+        else:
+            trigger = None
+        if entry is None:
+            return _SHARED_EVENTS[trigger]
         return MonitorEvent(entry, trigger)
 
-    def _log_transfer(self, bus: SignalBus) -> tuple[int, int] | None:
-        """Log the transfer on a branch record; the entry appended, if any."""
-        src, dest = transfer_of(bus)
+    def _log_transfer(self, bus: SignalBus, ar_min: int, ar_max: int,
+                      cf_size: int) -> tuple[tuple[int, int] | None, int]:
+        """Log the transfer on a branch record: the entry appended, if any,
+        and the fill level after the record.  The source of an interrupt
+        acceptance is the last retired instruction."""
+        src = bus.pc if bus.inst is not None else bus.pc_prev
+        dest = bus.pc_next
         loop = self.loop
         if src == loop.src_loop and dest == loop.dest_loop \
-                and loop.ctr < self._ctr_max and self.cf_size < self._max_entries:
+                and loop.ctr < self._ctr_max and cf_size < self._max_entries:
             # a repeat of the last logged jump: count it in the uncommitted
             # slot at the fill level.  The pair passed the region test when
             # it was logged, and the bounds change only inside a session,
             # whose exit (or reset) clears the loop state first.
             loop.ctr += 1
-            self._write_counter(loop)
-            return None
+            SLOT.pack_into(self.dmem, self._log_off + SLOT.size * cf_size,
+                           loop.ctr >> 16, loop.ctr & 0xFFFF)
+            return None, cf_size
 
-        ar_min, ar_max = self._ar_bounds()
-        if self.cf_size >= self._max_entries \
+        if cf_size >= self._max_entries \
                 or not (ar_min <= src <= ar_max or ar_min <= dest <= ar_max):
-            return None
+            return None, cf_size
+        entry = None
         if loop.ctr > 1:
             # loop left, or its counter saturated: commit the counter slot,
             # then log this transfer
-            self._set_cf_size(self.cf_size + 1)
+            cf_size += 1
             loop.ctr = 1
         loop.src_loop, loop.dest_loop = src, dest
-        if self.cf_size < self._max_entries:
-            return self._append(src, dest)
-        return None
-
-    def _append(self, src: int, dest: int) -> tuple[int, int]:
-        slot = self.cf_size
-        SLOT.pack_into(self.dmem, self._log_off + SLOT.size * slot, src, dest)
-        self._set_cf_size(slot + 1)
-        return src, dest
-
-    def _write_counter(self, loop: LoopState) -> None:
-        SLOT.pack_into(self.dmem, self._log_off + SLOT.size * self.cf_size,
-                       loop.ctr >> 16, loop.ctr & 0xFFFF)
-
-    def _trigger_eval(self, bus: SignalBus) -> TriggerKind | None:
-        lay = self.layout
-        ar_max = self._ar_max()
-        region_end = bus.inst is not None and ar_max != 0 and bus.pc == ar_max
-        flush = self.cf_size >= self._flush_level
-        timer = False
-        if self.timer_count > 0 and not lay.in_tcb(bus.pc):
-            self.timer_count -= 1
-            timer = self.timer_count == 0
-        if region_end:
-            return TriggerKind.REGION_END
-        if flush:
-            return TriggerKind.LOG_FULL
-        if timer:
-            return TriggerKind.TIMER
-        return None
+        if cf_size < self._max_entries:
+            SLOT.pack_into(self.dmem, self._log_off + SLOT.size * cf_size, src, dest)
+            cf_size += 1
+            entry = (src, dest)
+        self._set_cf_size(cf_size)
+        return entry, cf_size

@@ -9,9 +9,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .isa import Op
+from .isa import EINT
 from .mcu import MemoryLayout, NMI_LINE, McuState, SignalBus, reset as mcu_reset
-from .monitor import ResetReason
+from .monitor import TCB_MIN, ResetReason
+
+PMEM_BASE = MemoryLayout.pmem_base
 
 # An undelivered trigger may outlive at most this many cycles before the
 # watchdog treats it as suppressed and forces a reset.
@@ -29,31 +31,44 @@ class RotState:
     heal_latch: bool = False       # set only while the heal phase may patch S
 
 
+_TCB = Mode.TCB     # read once; a member read resolves through EnumType
+
+
 def rot_check(bus: SignalBus, rot: RotState, layout: MemoryLayout) -> ResetReason | None:
     """Evaluate one bus record against the RoT rules; a reason means veto."""
+    tcb_max = layout.tcb_max
+    pc = bus.pc
+    pc_in = TCB_MIN <= pc <= tcb_max
     # (a) program memory is immutable at runtime; the one exception is the
-    # heal window, which may rewrite application code but never the TCB.
-    for en, addr in ((bus.w_en, bus.d_addr), (bus.dma_en, bus.dma_addr)):
-        if not en or not layout.in_pmem(addr):
-            continue
-        if layout.in_tcb(addr):
+    # heal window, which may rewrite application code but never the TCB
+    # (the TCB opens PMEM, so a PMEM address up to tcb_max is in it).
+    w = bus.w_en
+    if w and PMEM_BASE <= bus.d_addr < layout.pmem_end:
+        if bus.d_addr <= tcb_max:
             return ResetReason.TCB_PMEM_WRITE
-        if not (rot.heal_latch and bus.w_en and layout.in_tcb(bus.pc)):
+        if not (rot.heal_latch and pc_in):
+            return ResetReason.S_PMEM_WRITE
+    if bus.dma_en and PMEM_BASE <= bus.dma_addr < layout.pmem_end:
+        if bus.dma_addr <= tcb_max:
+            return ResetReason.TCB_PMEM_WRITE
+        if not (rot.heal_latch and w and pc_in):
             return ResetReason.S_PMEM_WRITE
 
-    if rot.mode is Mode.TCB:
+    nxt = bus.pc_next
+    if rot.mode is _TCB:
         # (b) nothing may interleave with the trusted software
         if bus.irq_acc and bus.irq_line != NMI_LINE:
             return ResetReason.IRQ_IN_TCB
         if bus.dma_en:
             return ResetReason.DMA_IN_TCB
-        if bus.inst is Op.EINT:
+        if bus.inst is EINT:
             return ResetReason.GIE_IN_TCB
-        # (d) fixed exit point
-        if layout.in_tcb(bus.pc) and not layout.in_tcb(bus.pc_next) \
-                and bus.pc != layout.tcb_max:
-            return ResetReason.ILLEGAL_TCB_EXIT
-    elif layout.in_tcb(bus.pc):
+        if pc_in:
+            # (d) fixed exit point; rule (c) needs pc outside the TCB
+            if not TCB_MIN <= nxt <= tcb_max and pc != tcb_max:
+                return ResetReason.ILLEGAL_TCB_EXIT
+            return None
+    elif pc_in:
         # (e) the trusted software runs only as a session the RoT opened; an
         # application that reaches the TCB on its own (a legal-entry jump or
         # a forced NMI without a trigger) would otherwise slide through it to
@@ -61,8 +76,7 @@ def rot_check(bus: SignalBus, rot: RotState, layout: MemoryLayout) -> ResetReaso
         return ResetReason.ILLEGAL_TCB_ENTRY
 
     # (c) fixed entry point, regardless of mode
-    if not layout.in_tcb(bus.pc) and layout.in_tcb(bus.pc_next) \
-            and bus.pc_next != layout.tcb_min:
+    if not pc_in and TCB_MIN < nxt <= tcb_max:
         return ResetReason.ILLEGAL_TCB_ENTRY
     return None
 

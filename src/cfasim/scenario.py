@@ -13,6 +13,7 @@ from .apps import FIXTURES, encode_input, overflow_input
 from .asm import assemble
 from .channel import Channel, ChannelPolicy, PROVER, VERIFIER
 from .device import Device, DeviceEvents, DeviceMode
+from .isa import INSTR_SIZE
 from .mcu import SLOT, MemoryLayout, ProgramImage, render_pmem
 from .monitor import TriggerKind
 from .tcb import DeviceKey, HealAction, WaitPolicy
@@ -110,6 +111,16 @@ def _derive_key(seed: int) -> bytes:
     return hashlib.sha256(b"device-key:%d" % seed).digest()
 
 
+def _instruction_region(region: tuple[int, int], layout: MemoryLayout) -> bool:
+    """``(ar_min, ar_max)`` bounds a run of whole instructions in the
+    application region.  The monitor fires REGION_END only when an
+    instruction retires exactly at ``ar_max``, so any other bound would
+    never end the region, and a run that halts would never be reported."""
+    ar_min, ar_max = region
+    return (layout.s_base <= ar_min <= ar_max < layout.pmem_end
+            and (ar_max - ar_min) % INSTR_SIZE == 0)
+
+
 def run_image(image: ProgramImage, ar: tuple[int, int], layout: MemoryLayout,
               *, key_bytes: bytes, app_name: str = "custom",
               policy: WaitPolicy | None = None,
@@ -127,6 +138,12 @@ def run_image(image: ProgramImage, ar: tuple[int, int], layout: MemoryLayout,
     if len(input_bytes) > layout.input_size:
         raise ValueError(f"input is {len(input_bytes)} bytes; the input region "
                          f"holds {layout.input_size}")
+    for name, region in (("ar", ar), ("patched_ar", patched_ar)):
+        if region is not None and not _instruction_region(region, layout):
+            raise ValueError(f"{name} ({region[0]:#06x}, {region[1]:#06x}) is not "
+                             f"a region of instruction addresses in the "
+                             f"application region [{layout.s_base:#06x}, "
+                             f"{layout.pmem_end:#06x})")
     if update_image is not None and not layout.fits_app_region(update_image):
         raise ValueError(f"update image outside the application region "
                          f"[{layout.s_base:#06x}, {layout.pmem_end:#06x})")
@@ -149,12 +166,13 @@ def run_image(image: ProgramImage, ar: tuple[int, int], layout: MemoryLayout,
     )
     verifier = Verifier(vconf)
 
-    while device.running and device.cycle < cycle_budget:
+    state = device.state     # the clock both endpoints share
+    while device.running and state.cycle < cycle_budget:
         device.tick(channel, cycle_budget)
-        while (frame := channel.deliver(VERIFIER, device.cycle)) is not None:
+        while (frame := channel.deliver(VERIFIER, state.cycle)) is not None:
             resp = verifier.handle_report(frame)
             if resp is not None:
-                channel.send(PROVER, resp, device.cycle)
+                channel.send(PROVER, resp, state.cycle)
 
     if device.mode is DeviceMode.HALTED:
         outcome = Outcome.COMPLETED

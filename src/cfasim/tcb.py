@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import enum
 import hmac
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .mcu import METADATA, SLOT
 from .monitor import Metadata
-from .wire import CfaResponse, PmemMac, response_auth
+from .wire import CfaResponse, PmemMac, mac_covered, response_auth
 
 # Cycle-cost model.  Attestation is dominated by MAC-ing program memory, so
 # its cost scales with the measured byte count; the rest are flat charges.
@@ -74,11 +75,11 @@ class DeviceKey:
 
 
 def tcb_att(key: DeviceKey, pmem: bytes | bytearray, md: Metadata,
-            entries: list[tuple[int, int]]) -> tuple[bytes, int]:
+            entries: Sequence[tuple[int, int]]) -> tuple[bytes, int]:
     """Measurement phase: returns (digest, charged cycles).  The charged
     cycles model the device's MAC over all of ``pmem``; the host re-hashes
     PMEM only when its bytes changed."""
-    h = key._att.digest(pmem, md, entries)
+    h = key._att.digest(pmem, mac_covered(md, entries))
     cost = ATT_BASE_CYCLES + ATT_CYCLES_PER_BYTE * (
         len(pmem) + METADATA.size + SLOT.size * len(entries))
     return h, cost

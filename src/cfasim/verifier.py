@@ -12,13 +12,15 @@ from transfers by the positional rule of :func:`cfasim.wire.decode_log`.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .isa import INSTR_SIZE, NO_FALLTHROUGH_OPS, DecodeError, Instr, Op, decode
+from .isa import (CALL, CALLI, INSTR_SIZE, JMP, JNZ, JZ, NO_FALLTHROUGH_OPS,
+                  RET, RETI, DecodeError, Instr, decode)
 from .mcu import MemoryLayout
 from .monitor import Metadata, TriggerKind
-from .wire import (CfaResponse, PmemMac, WireError, decode_log,
-                   decode_report, encode_response, response_auth)
+from .wire import (CfaResponse, PmemMac, WireError, decode_log, decode_report,
+                   encode_response, frame_covered, response_auth)
 
 EXTERNAL = "<external>"   # cursor value while execution is outside the region
 
@@ -55,7 +57,7 @@ def build_cfg(binary: bytes, ar: tuple[int, int],
         except DecodeError as e:
             raise CfgError(f"undecodable instruction at {addr:#06x}: {e}") from None
 
-    known = {ins.imm for ins in instrs.values() if ins.op is Op.CALL} | {ar_min}
+    known = {ins.imm for ins in instrs.values() if ins.op is CALL} | {ar_min}
     return Cfg(ar_min, ar_max, instrs, known, set(ivt_targets))
 
 
@@ -68,6 +70,12 @@ class SliceKind(enum.Enum):
     INTERMEDIATE = "intermediate"
     LAST = "last"
     SINGLE = "single"
+
+
+# Members bound once: a read through the class resolves in EnumType.
+FIRST, INTERMEDIATE, LAST, SINGLE = SliceKind
+RUN_STARTS, RUN_ENDS = (FIRST, SINGLE), (LAST, SINGLE)
+RESTARTS = (TriggerKind.BOOT, TriggerKind.VIOLATION)   # trigger bytes of a restart
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,9 @@ class VerifySession:
 
 class _Walker:
     """Working state of one slice validation; committed only on success."""
+
+    __slots__ = ("cfg", "lay", "shadow", "cursor", "pending", "last_src",
+                 "last_pair", "entered_tcb")
 
     def __init__(self, cfg: Cfg, session: VerifySession):
         self.cfg = cfg
@@ -182,7 +193,7 @@ class _Walker:
         if not self._reachable(self.cursor, s):
             return Violation(i, "BrokenFlow")
         ins = self.cfg.instrs[s]
-        if ins.op in (Op.JZ, Op.JNZ):
+        if ins.op is JZ or ins.op is JNZ:
             # a not-taken pass resumes past the conditional; if the previous
             # transfer was this same conditional taken, resuming at its
             # target is equally consistent
@@ -201,7 +212,7 @@ class _Walker:
     def first_entry(self, kind: SliceKind, s: int, d: int,
                     issued_ar: tuple[int, int]) -> Violation | None:
         lay = self.lay
-        if kind in (SliceKind.FIRST, SliceKind.SINGLE):
+        if kind in RUN_STARTS:
             if d != issued_ar[0]:
                 return Violation(0, "BadRegionEntry")
             if s != lay.tcb_max:
@@ -249,7 +260,7 @@ class _Walker:
         # conditional sitting at the source
         if d == lay.tcb_min or d in cfg.isr_targets:
             ins = cfg.instrs.get(s)
-            if not (ins is not None and ins.op in (Op.JMP, Op.JZ, Op.JNZ, Op.CALL)
+            if not (ins is not None and ins.op in (JMP, JZ, JNZ, CALL)
                     and d == ins.imm and self._reachable(self.cursor, s)):
                 cands = self._resume_candidates(i, s)
                 if isinstance(cands, Violation):
@@ -261,18 +272,18 @@ class _Walker:
         ins = cfg.instrs[s]
         op = ins.op
 
-        if op is Op.CALL:
+        if op is JMP or op is JZ or op is JNZ:
+            if d != ins.imm:
+                return Violation(i, "BadJumpTarget")
+        elif op is CALL:
             if d != ins.imm:
                 return Violation(i, "BadCallTarget")
             self.shadow.append((s + INSTR_SIZE) & MASK16)
-        elif op is Op.CALLI:
+        elif op is CALLI:
             if d not in cfg.known_entries:
                 return Violation(i, "IndirectTarget")
             self.shadow.append((s + INSTR_SIZE) & MASK16)
-        elif op in (Op.JMP, Op.JZ, Op.JNZ):
-            if d != ins.imm:
-                return Violation(i, "BadJumpTarget")
-        elif op in (Op.RET, Op.RETI):
+        elif op is RET or op is RETI:
             if not self.shadow:
                 return Violation(i, "ShadowUnderflow")
             expect = self.shadow.pop()
@@ -285,7 +296,7 @@ class _Walker:
         return None
 
 
-def validate_slice(kind: SliceKind, entries: list[tuple[int, int]], cfg: Cfg,
+def validate_slice(kind: SliceKind, entries: Sequence[tuple[int, int]], cfg: Cfg,
                    session: VerifySession) -> Violation | None:
     """Validate one log slice; on success the session's traversal state is
     advanced, on violation it is left untouched."""
@@ -309,7 +320,7 @@ def validate_slice(kind: SliceKind, entries: list[tuple[int, int]], cfg: Cfg,
         w.last_pair = (s, d)
         w.last_src = s
 
-    if kind in (SliceKind.LAST, SliceKind.SINGLE):
+    if kind in RUN_ENDS:
         if not entries or entries[-1] != (session.issued_ar[1], lay.tcb_min):
             return Violation(max(0, len(entries) - 1), "BadSliceEnd")
 
@@ -363,8 +374,8 @@ class Verifier:
         trusted software."""
         fresh = self.session.fresh
         if entries and entries[-1] == (md.ar_max, self.config.layout.tcb_min):
-            return SliceKind.SINGLE if fresh else SliceKind.LAST
-        return SliceKind.FIRST if fresh else SliceKind.INTERMEDIATE
+            return SINGLE if fresh else LAST
+        return FIRST if fresh else INTERMEDIATE
 
     def _audit(self, kind: str, app: int, reason: str, entries: int) -> None:
         self.audit.append(f"seq={len(self.audit) + 1} kind={kind} app={app} "
@@ -385,7 +396,7 @@ class Verifier:
             self._audit("cached", cached[0], "resend", md.cf_size)
             return cached
 
-        expect_h = self._att.digest(sess.expected_pmem, md, report.entries)
+        expect_h = self._att.digest(sess.expected_pmem, frame_covered(frame))
         if expect_h != report.h:
             self._audit("?", 0, "bad-mac", md.cf_size)
             return None
@@ -399,14 +410,13 @@ class Verifier:
         if (md.ar_min, md.ar_max) != sess.issued_ar:
             app, reason = 0, "bad-ar"
         else:
-            violation = validate_slice(kind, list(report.entries), self.graph, sess)
+            violation = validate_slice(kind, report.entries, self.graph, sess)
             if violation is not None:
                 app, reason = 0, str(violation)
 
         if app == 1:
             # the trigger byte is read only to learn that the device restarted
-            if report.trigger in (TriggerKind.BOOT, TriggerKind.VIOLATION) \
-                    or kind in (SliceKind.LAST, SliceKind.SINGLE):
+            if report.trigger in RESTARTS or kind in RUN_ENDS:
                 sess.fresh_run()
             elif report.entries:
                 sess.fresh = False

@@ -35,6 +35,8 @@ from .monitor import Metadata, TriggerKind
 
 MAC_LEN = 32
 REPORT_FIXED = MAC_LEN + METADATA.size + 1     # h | metadata | trigger
+TRIGGER_AT = REPORT_FIXED - 1
+_TRIGGERS = {int(kind): kind for kind in TriggerKind}
 RESPONSE_HEADER = struct.Struct(">BIHH")       # app | chal' | ar_min | ar_max
 RESPONSE_LEN = RESPONSE_HEADER.size + MAC_LEN
 
@@ -45,19 +47,20 @@ class WireError(ValueError):
 
 def mac(key: bytes, message: bytes) -> bytes:
     """HMAC-SHA-256 of ``message`` under ``key``."""
-    return _hmac.new(key, message, hashlib.sha256).digest()
+    return _hmac.digest(key, message, "sha256")
 
 
 class PmemMac:
-    """The report measurement under one key: HMAC-SHA-256 over pmem,
-    metadata and the used log slice, in wire byte order.  The trigger
-    annotation byte is deliberately not included.
+    """The report measurement under one key: HMAC-SHA-256 over pmem and the
+    MAC-covered bytes of a report (metadata and the used log slice, in wire
+    byte order; the trigger annotation byte is deliberately not included).
 
     Reports share their PMEM prefix, so the state that has absorbed
     key || pmem is primed once and copied for each report.  It is keyed on
-    the PMEM bytes themselves: a comparison decides when to prime again, so
-    a PMEM write (a heal's patch, the verifier's switch to the patched
-    image) can never leave a stale prefix behind."""
+    the PMEM bytes themselves: an immutable ``bytes`` PMEM by identity, a
+    mutable one by a comparison, so a PMEM write (a heal's patch, the
+    verifier's switch to the patched image) can never leave a stale prefix
+    behind."""
 
     __slots__ = ("_key", "_pmem", "_primed")
 
@@ -66,21 +69,32 @@ class PmemMac:
         self._pmem: bytes | None = None
         self._primed = None
 
-    def digest(self, pmem: bytes | bytearray, md: Metadata,
-               entries: Iterable[tuple[int, int]]) -> bytes:
-        if pmem is not self._pmem and pmem != self._pmem:
+    def digest(self, pmem: bytes | bytearray, covered: bytes) -> bytes:
+        """HMAC-SHA-256(key, pmem || covered)."""
+        if pmem is not self._pmem and (type(pmem) is bytes or pmem != self._pmem):
             self._pmem = bytes(pmem)
             self._primed = _hmac.new(self._key, self._pmem, hashlib.sha256)
         h = self._primed.copy()
-        h.update(md.pack())
-        h.update(pack_entries(entries))
+        h.update(covered)
         return h.digest()
+
+
+def mac_covered(md: Metadata, entries: Iterable[tuple[int, int]]) -> bytes:
+    """The bytes of a report that ``h`` covers after PMEM: metadata ||
+    entries."""
+    return md.pack() + pack_entries(entries)
+
+
+def frame_covered(frame: bytes) -> bytes:
+    """The same bytes, cut from a report frame: all but ``h`` and the
+    trigger byte."""
+    return frame[MAC_LEN:TRIGGER_AT] + frame[REPORT_FIXED:]
 
 
 def attest_digest(key: bytes, pmem: bytes, md: Metadata,
                   entries: Iterable[tuple[int, int]]) -> bytes:
     """The report measurement as one call (see ``PmemMac``)."""
-    return PmemMac(key).digest(pmem, md, entries)
+    return PmemMac(key).digest(pmem, mac_covered(md, entries))
 
 
 def response_auth(key: bytes, chal: int, ar_min: int, ar_max: int, app: int) -> bytes:
@@ -124,13 +138,19 @@ class CfaResponse:
     auth: bytes
 
 
+def report_frame(h: bytes, md_bytes: bytes, trigger: TriggerKind,
+                 log_bytes: bytes) -> bytes:
+    """A report frame from its metadata and entries already in their wire
+    encoding, as protected memory stores them."""
+    return h + md_bytes + bytes((trigger,)) + log_bytes
+
+
 def encode_report(r: CfaReport) -> bytes:
     if len(r.h) != MAC_LEN:
         raise WireError("bad digest length")
     if r.metadata.cf_size != len(r.entries):
         raise WireError("cf_size does not match entry count")
-    return (r.h + r.metadata.pack() + bytes([r.trigger])
-            + pack_entries(r.entries))
+    return report_frame(r.h, r.metadata.pack(), r.trigger, pack_entries(r.entries))
 
 
 def decode_report(raw: bytes) -> CfaReport:
@@ -138,11 +158,9 @@ def decode_report(raw: bytes) -> CfaReport:
         raise WireError("report too short")
     h = raw[:MAC_LEN]
     md = Metadata(*METADATA.unpack_from(raw, MAC_LEN))
-    byte = raw[REPORT_FIXED - 1]
-    try:
-        trigger = TriggerKind(byte)
-    except ValueError:
-        raise WireError(f"bad trigger byte {byte}") from None
+    trigger = _TRIGGERS.get(raw[TRIGGER_AT])
+    if trigger is None:
+        raise WireError(f"bad trigger byte {raw[TRIGGER_AT]}")
     if len(raw) != REPORT_FIXED + SLOT.size * md.cf_size:
         raise WireError("report length does not match cf_size")
     entries = tuple(SLOT.iter_unpack(raw[REPORT_FIXED:]))

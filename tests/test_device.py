@@ -248,14 +248,46 @@ class TestPolicies:
         assert res.outcome is Outcome.DEADLOCK
         assert res.device.state.retired == 0   # no app instruction ever ran
 
-    def test_best_effort_resume_times_out_and_runs(self):
+    def test_best_effort_resume_needs_an_issued_region(self):
+        """Until a response sets it, the metadata holds no region (``ar_max``
+        is 0), so a resumed application would run with nothing logged and
+        nothing reported: the boot wait keeps waiting and retransmitting past
+        the timeout."""
         res = run_scenario(ScenarioConfig(
             app="few_branch",
             policy=WaitPolicy(PolicyMode.BEST_EFFORT_RESUME, timeout_cycles=20_000),
             channel=ChannelPolicy(blackout_windows=((0, 10**9),)),
             cycle_budget=2_000_000))
+        assert res.outcome is Outcome.DEADLOCK
+        assert res.device.state.retired == 0   # no app instruction ever ran
+        assert res.device.stats.n_retransmits == 186     # one per 10k cycles
+
+    def test_best_effort_resume_times_out_and_runs(self):
+        """A blackout from after the boot response on: the region-end report
+        is never answered, the wait times out and resumes into the issued
+        region, and the application halts."""
+        res = run_scenario(ScenarioConfig(
+            app="few_branch",
+            policy=WaitPolicy(PolicyMode.BEST_EFFORT_RESUME, timeout_cycles=20_000),
+            channel=ChannelPolicy(blackout_windows=((140_000, 10**9),)),
+            cycle_budget=2_000_000))
         assert res.outcome is Outcome.COMPLETED
+        assert [r.trigger for r in res.reports] == [TriggerKind.BOOT,
+                                                     TriggerKind.REGION_END]
+        assert res.audit == ["seq=1 kind=first app=1 reason=ok entries=0"]
         assert res.device.state.retired > 0
+
+    def test_best_effort_resume_after_a_boot_blackout_attests_the_run(self):
+        """The boot report gets through once the blackout ends, so every
+        report of the run is answered and approved (resuming at the boot
+        timeout ran 4,204 instructions unattested, with one report)."""
+        res = run_scenario(ScenarioConfig(
+            app="loop_heavy", seed=2,
+            policy=WaitPolicy(PolicyMode.BEST_EFFORT_RESUME, timeout_cycles=25_000),
+            channel=ChannelPolicy(blackout_windows=((0, 170_000),))))
+        assert res.outcome is Outcome.COMPLETED
+        assert len(res.reports) == 18
+        assert [line.split()[3] for line in res.audit] == ["reason=ok"] * 18
 
     def test_best_effort_heal_times_out_into_remediation(self):
         res = run_scenario(ScenarioConfig(

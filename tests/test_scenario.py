@@ -136,3 +136,86 @@ def test_input_filling_its_region_accepted():
     assert res.reports[0].metadata.chal == 0
     assert res.reports[0].metadata.cf_size == 0
     assert not any("stale-chal" in line for line in res.audit)
+
+
+FRAME_RUNS = [ScenarioConfig(app=app, max_cflog_bytes=log, cycle_budget=10**9)
+              for app in ("loop_heavy", "moderate") for log in (16, 512)] \
+    + [ScenarioConfig(app="password", input_kind="overflow",
+                      heal_action=HealAction.UPDATE)]
+
+
+@pytest.mark.parametrize("cfg", FRAME_RUNS,
+                         ids=lambda c: f"{c.app}-{c.max_cflog_bytes}-{c.input_kind}")
+def test_sent_frames_are_the_encoded_reports(cfg, monkeypatch):
+    """Every report frame the device sends is ``encode_report`` of the
+    report it records, and its MAC is ``attest_digest`` over the PMEM the
+    verifier expects: the image, then the patched image after an update
+    heal."""
+    from cfasim.channel import VERIFIER
+    from cfasim.device import Device
+    from cfasim.wire import attest_digest, encode_report
+
+    sent = []
+    session = Device._session
+
+    def recording(self, channel):
+        session(self, channel)
+        ep, frame = channel.captured[-1]
+        assert ep == VERIFIER
+        sent.append(frame)
+
+    monkeypatch.setattr(Device, "_session", recording)
+    res = run_scenario(cfg)
+    assert res.outcome is Outcome.COMPLETED
+    assert sent == [encode_report(r) for r in res.reports]
+    conf = res.verifier.config
+    pmems = [conf.expected_pmem] + ([conf.patched_pmem] if conf.patched_pmem else [])
+    key = _derive_key(cfg.seed)
+    which = []
+    for rep in res.reports:
+        macs = [attest_digest(key, p, rep.metadata, rep.entries) for p in pmems]
+        assert rep.h in macs
+        which.append(macs.index(rep.h))
+    assert which == sorted(which)     # the expectation switches once, at the heal
+    if conf.patched_pmem is not None:
+        assert which[-1] == 1 and bytes(res.device.state.pmem) == conf.patched_pmem
+
+
+COUNTDOWN = """
+        .org 0x9000
+main:   MOV r1, #3
+loop:   SUB r1, #1
+        JNZ loop
+fin:    NOP
+        HALT
+"""
+
+
+@pytest.mark.parametrize("ar", [(0x9000, 0x900E), (0x9002, 0x900C),
+                                (0x900C, 0x9000), (0x9000, 0x10000),
+                                (0x8FFC, 0x900C)],
+                         ids=["ar_max-mid-instruction", "ar_min-mid-instruction",
+                              "ar_max-below-ar_min", "ar_max-past-pmem",
+                              "ar_min-in-tcb"])
+def test_region_must_bound_instruction_addresses(ar):
+    """A region whose ``ar_max`` is no instruction address never ends: with
+    ``(main, fin + 2)`` the run completed with only its boot report."""
+    lay = MemoryLayout()
+    built = assemble(COUNTDOWN, entry=lay.tcb_min)
+    assert (built.symbols["main"], built.symbols["fin"]) == (0x9000, 0x900C)
+    with pytest.raises(ValueError, match="not a region of instruction addresses"):
+        run_image(built.image, ar, lay, key_bytes=_derive_key(1))
+    with pytest.raises(ValueError, match="patched_ar"):
+        run_image(built.image, (0x9000, 0x900C), lay, key_bytes=_derive_key(1),
+                  patched_ar=ar)
+
+
+def test_instruction_region_ends_and_is_judged():
+    lay = MemoryLayout()
+    built = assemble(COUNTDOWN, entry=lay.tcb_min)
+    res = run_image(built.image, (built.symbols["main"], built.symbols["fin"]), lay,
+                    key_bytes=_derive_key(1))
+    assert res.outcome is Outcome.COMPLETED
+    assert [r.trigger for r in res.reports] == [TriggerKind.BOOT,
+                                                 TriggerKind.REGION_END]
+    assert res.audit[-1] == "seq=2 kind=single app=1 reason=ok entries=4"
