@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .apps import FIXTURES
 from .asm import assemble, disassemble_image
@@ -43,8 +44,19 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-_CONFIG_KEYS = ("app", "log_size", "timer", "policy", "heal", "input", "seed",
-                "budget", "drop", "dup", "tamper", "latency", "drop_first")
+# Config key -> (field, parser): the ScenarioConfig fields, then the
+# ChannelPolicy fields.  Every scenario key but app is also a `run` flag.
+_int = partial(int, base=0)
+_SCENARIO_KEYS = {
+    "app": ("app", str), "log_size": ("max_cflog_bytes", _int),
+    "timer": ("timer_deadline_cycles", _int), "policy": ("policy", _parse_policy),
+    "heal": ("heal_action", HealAction), "input": ("input_kind", str),
+    "seed": ("seed", _int), "budget": ("cycle_budget", _int)}
+_CHANNEL_KEYS = {
+    "drop": ("drop_prob", float), "dup": ("dup_prob", float),
+    "tamper": ("tamper_prob", float), "latency": ("latency", _int),
+    "drop_first": ("drop_first", _int)}
+_CONFIG_KEYS = (*_SCENARIO_KEYS, *_CHANNEL_KEYS)
 
 
 def build_scenario_config(values: dict[str, str]) -> ScenarioConfig:
@@ -52,31 +64,15 @@ def build_scenario_config(values: dict[str, str]) -> ScenarioConfig:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r} "
                              f"(valid: {', '.join(_CONFIG_KEYS)})")
-    cfg = ScenarioConfig(app=values.get("app", "few_branch"))
-    if cfg.app not in FIXTURES:
-        raise ValueError(f"unknown app {cfg.app!r} (fixtures: {', '.join(FIXTURES)})")
-    if "log_size" in values:
-        cfg.max_cflog_bytes = int(values["log_size"], 0)
-    if "timer" in values:
-        cfg.timer_deadline_cycles = int(values["timer"], 0)
-    if "policy" in values:
-        cfg.policy = _parse_policy(values["policy"])
-    if "heal" in values:
-        cfg.heal_action = HealAction(values["heal"])
-    if "input" in values:
-        cfg.input_kind = values["input"]
-    if "seed" in values:
-        cfg.seed = int(values["seed"], 0)
-    if "budget" in values:
-        cfg.cycle_budget = int(values["budget"], 0)
-    chan = {}
-    for key in ("drop", "dup", "tamper"):
+    app = values.get("app", ScenarioConfig.app)
+    if app not in FIXTURES:
+        raise ValueError(f"unknown app {app!r} (fixtures: {', '.join(FIXTURES)})")
+    cfg = ScenarioConfig()
+    for key, (name, parse) in _SCENARIO_KEYS.items():
         if key in values:
-            chan[key + "_prob"] = float(values[key])
-    if "latency" in values:
-        chan["latency"] = int(values["latency"], 0)
-    if "drop_first" in values:
-        chan["drop_first"] = int(values["drop_first"], 0)
+            setattr(cfg, name, parse(values[key]))
+    chan = {name: parse(values[key])
+            for key, (name, parse) in _CHANNEL_KEYS.items() if key in values}
     if chan:
         cfg.channel = ChannelPolicy(**chan)
     return cfg
@@ -87,7 +83,7 @@ def cmd_run(args) -> int:
         values: dict[str, str] = {"app": args.scenario}
     else:
         values = load_config_file(args.scenario)
-    for key in ("seed", "log_size", "timer", "policy", "heal", "input", "budget"):
+    for key in _SCENARIO_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = str(flag)

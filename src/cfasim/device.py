@@ -18,7 +18,8 @@ trusted-software store (metadata fields, timer reload, the heal's PMEM
 patches) after its store record commits.  DMEM is the only store of the
 metadata: the monitor reads the region bounds and ``cf_size`` from it once
 per record, and a report frame carries the metadata and log bytes exactly
-as ``_session`` read them from it.  Every PMEM store, the heal's patches
+as ``_session`` read them from it; both index DMEM at the fixed offsets
+``mcu.MD_OFF`` and ``LOG_OFF``.  Every PMEM store, the heal's patches
 included, lands through ``McuState.store``, so the core's decode cache
 (``McuState.decoded``) follows that one PMEM write path: ``store`` empties it.
 
@@ -35,16 +36,16 @@ from dataclasses import dataclass, field
 
 from .channel import Channel, PROVER, VERIFIER
 from .isa import JMP, MOV
-from .mcu import (MD_AR_MIN, MD_CF_SIZE, METADATA, SLOT, TIMER, FaultError,
-                  ImageError, MemoryLayout, NMI_LINE, ProgramImage, SignalBus,
-                  acceptable_line, apply_acceptance, apply_instr, _fetch,
-                  load_image, predict_acceptance, predict_bus, raise_irq)
+from .mcu import (LOG_OFF, MD_AR_MIN, MD_CF_SIZE, MD_OFF, METADATA, SLOT, TIMER,
+                  FaultError, ImageError, MemoryLayout, NMI_LINE, ProgramImage,
+                  SignalBus, acceptable_line, apply_acceptance, apply_instr,
+                  _fetch, load_image, predict_acceptance, predict_bus, raise_irq)
 from .monitor import (CfaMonitor, Metadata, MonitorEvent, ResetReason,
                       TriggerKind, boundary_check, timer_write_check)
 from .rot import Mode, NMI_ACCEPT_BOUND, RotState, on_reset, rot_check
-from .tcb import (AUTH_CYCLES, HEAL_CYCLES, WAIT_POLL_CYCLES, DeviceKey,
-                  HealAction, PolicyMode, WaitPolicy, authenticate_response,
-                  tcb_att)
+from .tcb import (AUTH_CYCLES, HEAL_CYCLES, RETRANSMIT_EVERY, WAIT_POLL_CYCLES,
+                  DeviceKey, HealAction, PolicyMode, WaitPolicy,
+                  authenticate_response, tcb_att)
 from .wire import CfaReport, WireError, decode_response, report_frame
 
 TCB_EXIT_CYCLES = 8
@@ -132,9 +133,6 @@ class Device:
         self._nmi_kind: TriggerKind | None = None
         self._nmi_raised_cycle: int | None = None
         self._attack_idx = 0
-        self._tcb = (layout.tcb_min, layout.tcb_max)
-        self._md_off = layout.metadata_base - layout.dmem_base
-        self._log_off = layout.cflog_base - layout.dmem_base
         self._report_frame: bytes | None = None
         self.wait_started = 0   # cycle the current wait began
         self._last_tx = 0
@@ -203,7 +201,7 @@ class Device:
         # boundary_check, timer_write_check and RoT rule (a) fire only on
         # w_en or dma_en; rules (b) and (d) only in TCB mode; rule (e) needs
         # pc in the TCB and rule (c) pc_next in the TCB.
-        lo, hi = self._tcb
+        lo, hi = MemoryLayout.tcb_min, self.layout.tcb_max
         if (bus.w_en or bus.dma_en or bus.irq_acc or self.rot.mode is not _APP
                 or lo <= bus.pc <= hi or lo <= bus.pc_next <= hi) \
                 and self._vetoed(bus):
@@ -336,10 +334,9 @@ class Device:
         self._pending_session = None
         st = self.state
         # the frame carries the metadata and log bytes as they lie in DMEM
-        md_at, log_at = self._md_off, self._log_off
-        md_raw = st.dmem[md_at:md_at + METADATA.size]
+        md_raw = st.dmem[MD_OFF:MD_OFF + METADATA.size]
         md = Metadata(*METADATA.unpack(md_raw))
-        log_raw = st.dmem[log_at:log_at + SLOT.size * md.cf_size]
+        log_raw = st.dmem[LOG_OFF:LOG_OFF + SLOT.size * md.cf_size]
         entries = tuple(SLOT.iter_unpack(log_raw))
         h, cost = tcb_att(self.key, st.pmem, md, entries)
         st.cycle += cost
@@ -362,7 +359,7 @@ class Device:
         attacks = self.events.attacks
         attack = attacks[self._attack_idx].at_cycle \
             if self._attack_idx < len(attacks) else None
-        first = self._last_tx + self.policy.retransmit_every
+        first = self._last_tx + RETRANSMIT_EVERY
         for t in (channel.next_due(PROVER), channel.next_due(VERIFIER), until,
                   self._timeout_at(), attack):
             if t is not None and t < first:
@@ -393,13 +390,13 @@ class Device:
                 resp = decode_response(frame)
             except WireError:
                 resp = None
-            chal = METADATA.unpack_from(st.dmem, self._md_off)[0]
+            chal = METADATA.unpack_from(st.dmem, MD_OFF)[0]
             if resp is not None and authenticate_response(self.key, resp, chal):
                 self._complete_session(resp)
                 return
             self.stats.n_rejected_responses += 1
 
-        if st.cycle - self._last_tx >= self.policy.retransmit_every:
+        if st.cycle - self._last_tx >= RETRANSMIT_EVERY:
             channel.send(VERIFIER, self._report_frame, st.cycle)
             self.stats.n_retransmits += 1
             self._last_tx = st.cycle
@@ -418,7 +415,7 @@ class Device:
         unreported."""
         mode = self.policy.mode
         if mode is _STRICT or (mode is _RESUME and
-                               METADATA.unpack_from(self.state.dmem, self._md_off)[2] == 0):
+                               METADATA.unpack_from(self.state.dmem, MD_OFF)[2] == 0):
             return None
         return self.wait_started + self.policy.timeout_cycles
 

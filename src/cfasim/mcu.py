@@ -125,6 +125,13 @@ class MemoryLayout:
                    for seg in image.segments)
 
 
+# DMEM offsets of the METADATA record, the first log SLOT and the TIMER
+# reload: fixed by the layout, so every reader indexes DMEM with these.
+MD_OFF = MemoryLayout.metadata_base - MemoryLayout.dmem_base
+LOG_OFF = MemoryLayout.cflog_base - MemoryLayout.dmem_base
+TIMER_OFF = MemoryLayout.timer_reg - MemoryLayout.dmem_base
+
+
 @dataclass(frozen=True)
 class Segment:
     base: int

@@ -17,6 +17,10 @@ Five cooperating sub-monitors are evaluated against every bus record:
 * logger            - appends (source, destination) pairs to the protected
                       log region in data memory
 
+Every record takes one path through ``CfaMonitor.observe``, which reads and
+writes the protected records at their fixed DMEM offsets (``mcu.MD_OFF``,
+``LOG_OFF``, ``TIMER_OFF``).
+
 Everything here is a pure function of (bus record, monitor state, memory
 view): replaying a recorded trace through a fresh monitor over the same
 initial memory reproduces the identical log bytes.
@@ -29,8 +33,8 @@ import struct
 from dataclasses import dataclass
 
 from .isa import INSTR_SIZE, BRANCH_OPS, JNZ, JZ
-from .mcu import (MD_AR_MIN, MD_CF_SIZE, METADATA, SLOT, TIMER, MemoryLayout,
-                  SignalBus)
+from .mcu import (LOG_OFF, MD_CF_SIZE, MD_OFF, METADATA, SLOT, TIMER, TIMER_OFF,
+                  MemoryLayout, SignalBus)
 
 # The flush trigger fires this many entries before the log is physically
 # full.  Two slots are always enough for everything that can still land
@@ -77,34 +81,21 @@ class Metadata:
         return METADATA.pack(self.chal, self.ar_min, self.ar_max, self.cf_size)
 
 
-def read_metadata(dmem: bytearray, layout: MemoryLayout) -> Metadata:
-    off = layout.metadata_base - layout.dmem_base
-    return Metadata(*METADATA.unpack_from(dmem, off))
+def read_metadata(dmem: bytearray) -> Metadata:
+    return Metadata(*METADATA.unpack_from(dmem, MD_OFF))
 
 
-def write_metadata(dmem: bytearray, layout: MemoryLayout, md: Metadata) -> None:
-    off = layout.metadata_base - layout.dmem_base
-    METADATA.pack_into(dmem, off, md.chal, md.ar_min, md.ar_max, md.cf_size)
+def write_metadata(dmem: bytearray, md: Metadata) -> None:
+    METADATA.pack_into(dmem, MD_OFF, md.chal, md.ar_min, md.ar_max, md.cf_size)
 
 
-def read_log_entries(dmem: bytearray, layout: MemoryLayout, count: int) -> list[tuple[int, int]]:
-    off = layout.cflog_base - layout.dmem_base
-    return list(SLOT.iter_unpack(dmem[off:off + SLOT.size * count]))
+def read_log_entries(dmem: bytearray, count: int) -> list[tuple[int, int]]:
+    return list(SLOT.iter_unpack(dmem[LOG_OFF:LOG_OFF + SLOT.size * count]))
 
 
 # ---------------------------------------------------------------------------
 # Boundary monitor
 # ---------------------------------------------------------------------------
-
-# Region bounds the rules compare against: the fixed ones once here, the
-# log's and the TCB's end from the layout.  The TCB opens PMEM.
-MD_LO = MemoryLayout.metadata_base
-MD_HI = MD_LO + METADATA.size
-LOG_LO = MemoryLayout.cflog_base
-TIMER_LO = MemoryLayout.timer_reg
-TIMER_HI = TIMER_LO + TIMER.size
-TCB_MIN = MemoryLayout.tcb_min
-
 
 def boundary_check(bus: SignalBus, layout: MemoryLayout) -> ResetReason | None:
     """Veto writes that would corrupt the log or, from untrusted code or DMA,
@@ -112,12 +103,15 @@ def boundary_check(bus: SignalBus, layout: MemoryLayout) -> ResetReason | None:
     w, dma = bus.w_en, bus.dma_en
     if not (w or dma):
         return None
-    log_hi = LOG_LO + layout.cflog_size
-    if (w and LOG_LO <= bus.d_addr < log_hi) or (dma and LOG_LO <= bus.dma_addr < log_hi):
+    log_lo = layout.cflog_base
+    log_hi = log_lo + layout.cflog_size
+    if (w and log_lo <= bus.d_addr < log_hi) or (dma and log_lo <= bus.dma_addr < log_hi):
         return ResetReason.CFLOG_WRITE
-    dma_md = dma and MD_LO <= bus.dma_addr < MD_HI
-    if dma_md or (w and MD_LO <= bus.d_addr < MD_HI):
-        if not TCB_MIN <= bus.pc <= layout.tcb_max:
+    md_lo = layout.metadata_base
+    md_hi = md_lo + METADATA.size
+    dma_md = dma and md_lo <= bus.dma_addr < md_hi
+    if dma_md or (w and md_lo <= bus.d_addr < md_hi):
+        if not layout.tcb_min <= bus.pc <= layout.tcb_max:
             return ResetReason.METADATA_WRITE
         if dma_md:
             return ResetReason.DMA_METADATA
@@ -127,10 +121,12 @@ def boundary_check(bus: SignalBus, layout: MemoryLayout) -> ResetReason | None:
 def timer_write_check(bus: SignalBus, layout: MemoryLayout) -> ResetReason | None:
     """The periodic-report deadline is configurable only by trusted software;
     DMA may never touch it."""
-    if bus.w_en and TIMER_LO <= bus.d_addr < TIMER_HI \
-            and not TCB_MIN <= bus.pc <= layout.tcb_max:
+    lo = layout.timer_reg
+    hi = lo + TIMER.size
+    if bus.w_en and lo <= bus.d_addr < hi \
+            and not layout.tcb_min <= bus.pc <= layout.tcb_max:
         return ResetReason.TIMER_WRITE
-    if bus.dma_en and TIMER_LO <= bus.dma_addr < TIMER_HI:
+    if bus.dma_en and lo <= bus.dma_addr < hi:
         return ResetReason.TIMER_WRITE
     return None
 
@@ -182,39 +178,26 @@ class MonitorEvent:
 # Read once; a member read through the class resolves in EnumType.
 _REGION_END, _LOG_FULL, _TIMER_EXPIRY = (TriggerKind.REGION_END,
                                          TriggerKind.LOG_FULL, TriggerKind.TIMER)
-# The event of every record that appends no entry and raises no trigger,
-# and the one event of each trigger raised without an entry.
-NO_EVENT = MonitorEvent()
-TIMER_EVENT = MonitorEvent(None, _TIMER_EXPIRY)
-LOG_FULL_EVENT = MonitorEvent(None, _LOG_FULL)
-_SHARED_EVENTS = {None: NO_EVENT, _TIMER_EXPIRY: TIMER_EVENT,
-                  _REGION_END: MonitorEvent(None, _REGION_END),
-                  _LOG_FULL: LOG_FULL_EVENT}
-
-# The metadata fields the monitor reads on every record, from MD_AR_MIN on,
-# and the one it writes.
-_AR_CF = struct.Struct(">HHH")      # ar_min | ar_max | cf_size
-_CF_SIZE = struct.Struct(">H")
-assert MD_CF_SIZE == MD_AR_MIN + 4
+# The one event of each record that appends no entry, by the trigger it
+# raises; NO_EVENT is the event of every record that raises none.
+_SHARED_EVENTS = {t: MonitorEvent(None, t)
+                  for t in (None, _REGION_END, _LOG_FULL, _TIMER_EXPIRY)}
+NO_EVENT = _SHARED_EVENTS[None]
+_CF_SIZE = struct.Struct(">H")      # the metadata field the monitor writes
+_CF_SIZE_OFF = MD_OFF + MD_CF_SIZE
 
 
 class CfaMonitor:
     """Stateful composition of the sub-monitors over one device's memory."""
 
-    __slots__ = ("dmem", "layout", "loop", "timer_count", "_cf_off", "_ar_off",
-                 "_log_off", "_tcb_min", "_tcb_max", "_max_entries",
+    __slots__ = ("dmem", "loop", "timer_count", "_tcb_max", "_max_entries",
                  "_flush_level", "_ctr_max")
 
     def __init__(self, dmem: bytearray, layout: MemoryLayout):
         self.dmem = dmem
-        self.layout = layout
         self.loop = LoopState()
         self.timer_count = 0     # cycles until the periodic trigger; 0 = disarmed
-        md_off = layout.metadata_base - layout.dmem_base
-        self._cf_off = md_off + MD_CF_SIZE
-        self._ar_off = md_off + MD_AR_MIN
-        self._log_off = layout.cflog_base - layout.dmem_base
-        self._tcb_min, self._tcb_max = layout.tcb_min, layout.tcb_max
+        self._tcb_max = layout.tcb_max
         self._max_entries = layout.max_entries
         self._flush_level = layout.max_entries - FLUSH_RESERVE
         self._ctr_max = (layout.pmem_base << 16) - 1
@@ -223,14 +206,13 @@ class CfaMonitor:
 
     @property
     def cf_size(self) -> int:
-        return _CF_SIZE.unpack_from(self.dmem, self._cf_off)[0]
+        return _CF_SIZE.unpack_from(self.dmem, _CF_SIZE_OFF)[0]
 
     def _set_cf_size(self, v: int) -> None:
-        _CF_SIZE.pack_into(self.dmem, self._cf_off, v)
+        _CF_SIZE.pack_into(self.dmem, _CF_SIZE_OFF, v)
 
     def arm_timer(self) -> None:
-        off = self.layout.timer_reg - self.layout.dmem_base
-        self.timer_count = TIMER.unpack_from(self.dmem, off)[0]
+        self.timer_count = TIMER.unpack_from(self.dmem, TIMER_OFF)[0]
 
     def hw_reset(self) -> None:
         """Device reset: sequential monitor state clears; the log and its
@@ -246,46 +228,34 @@ class CfaMonitor:
         and its fill counter, and report any trigger that the record caused.
         Must be called after veto checks passed.  The region bounds and the
         fill level are read from DMEM once, here."""
-        pc = bus.pc
-        ar_min, ar_max, cf_size = _AR_CF.unpack_from(self.dmem, self._ar_off)
-        # most records are neither an acceptance nor a branch instruction
-        branch = (bus.irq_acc or bus.inst in BRANCH_OPS) and is_branch_record(bus)
-        if not branch and pc != self._tcb_max and pc != ar_max:
-            # nothing to log, no exit to clear the log at, not region end
-            # (pc is not ar_max): only log full or an armed timer can fire
-            count = self.timer_count
-            if count and not self._tcb_min <= pc <= self._tcb_max:
-                self.timer_count = count - 1
-                if cf_size < self._flush_level:
-                    return TIMER_EVENT if count == 1 else NO_EVENT
-            return LOG_FULL_EVENT if cf_size >= self._flush_level else NO_EVENT
+        pc, tcb_max = bus.pc, self._tcb_max
+        _, ar_min, ar_max, cf_size = METADATA.unpack_from(self.dmem, MD_OFF)
 
         # Trusted-software exit frees the log for the next slice.
-        if pc == self._tcb_max and bus.inst is not None:
+        if pc == tcb_max and bus.inst is not None:
             cf_size = 0
             self._set_cf_size(0)
             self.loop.reset()
 
+        # most records are neither an acceptance nor a branch instruction
         entry = None
-        if branch:
+        if (bus.irq_acc or bus.inst in BRANCH_OPS) and is_branch_record(bus):
             entry, cf_size = self._log_transfer(bus, ar_min, ar_max, cf_size)
 
-        # triggers, by priority: region end, log full, timer expiry
-        timer = False
-        if self.timer_count > 0 and not self._tcb_min <= pc <= self._tcb_max:
+        # the timer counts application cycles only
+        expired = False
+        if self.timer_count and (pc > tcb_max or pc < MemoryLayout.tcb_min):
             self.timer_count -= 1
-            timer = self.timer_count == 0
-        if bus.inst is not None and ar_max != 0 and pc == ar_max:
+            expired = self.timer_count == 0
+
+        # triggers, by priority: region end, log full, timer expiry
+        if pc == ar_max and ar_max != 0 and bus.inst is not None:
             trigger = _REGION_END
         elif cf_size >= self._flush_level:
             trigger = _LOG_FULL
-        elif timer:
-            trigger = _TIMER_EXPIRY
         else:
-            trigger = None
-        if entry is None:
-            return _SHARED_EVENTS[trigger]
-        return MonitorEvent(entry, trigger)
+            trigger = _TIMER_EXPIRY if expired else None
+        return _SHARED_EVENTS[trigger] if entry is None else MonitorEvent(entry, trigger)
 
     def _log_transfer(self, bus: SignalBus, ar_min: int, ar_max: int,
                       cf_size: int) -> tuple[tuple[int, int] | None, int]:
@@ -302,7 +272,7 @@ class CfaMonitor:
             # it was logged, and the bounds change only inside a session,
             # whose exit (or reset) clears the loop state first.
             loop.ctr += 1
-            SLOT.pack_into(self.dmem, self._log_off + SLOT.size * cf_size,
+            SLOT.pack_into(self.dmem, LOG_OFF + SLOT.size * cf_size,
                            loop.ctr >> 16, loop.ctr & 0xFFFF)
             return None, cf_size
 
@@ -317,7 +287,7 @@ class CfaMonitor:
             loop.ctr = 1
         loop.src_loop, loop.dest_loop = src, dest
         if cf_size < self._max_entries:
-            SLOT.pack_into(self.dmem, self._log_off + SLOT.size * cf_size, src, dest)
+            SLOT.pack_into(self.dmem, LOG_OFF + SLOT.size * cf_size, src, dest)
             cf_size += 1
             entry = (src, dest)
         self._set_cf_size(cf_size)

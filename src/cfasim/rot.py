@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 from .isa import EINT
 from .mcu import MemoryLayout, NMI_LINE, McuState, SignalBus, reset as mcu_reset
-from .monitor import TCB_MIN, ResetReason
-
-PMEM_BASE = MemoryLayout.pmem_base
+from .monitor import ResetReason
 
 # An undelivered trigger may outlive at most this many cycles before the
 # watchdog treats it as suppressed and forces a reset.
@@ -36,19 +34,19 @@ _TCB = Mode.TCB     # read once; a member read resolves through EnumType
 
 def rot_check(bus: SignalBus, rot: RotState, layout: MemoryLayout) -> ResetReason | None:
     """Evaluate one bus record against the RoT rules; a reason means veto."""
-    tcb_max = layout.tcb_max
+    tcb_min, tcb_max = layout.tcb_min, layout.tcb_max
     pc = bus.pc
-    pc_in = TCB_MIN <= pc <= tcb_max
+    pc_in = tcb_min <= pc <= tcb_max
     # (a) program memory is immutable at runtime; the one exception is the
     # heal window, which may rewrite application code but never the TCB
     # (the TCB opens PMEM, so a PMEM address up to tcb_max is in it).
     w = bus.w_en
-    if w and PMEM_BASE <= bus.d_addr < layout.pmem_end:
+    if w and layout.pmem_base <= bus.d_addr < layout.pmem_end:
         if bus.d_addr <= tcb_max:
             return ResetReason.TCB_PMEM_WRITE
         if not (rot.heal_latch and pc_in):
             return ResetReason.S_PMEM_WRITE
-    if bus.dma_en and PMEM_BASE <= bus.dma_addr < layout.pmem_end:
+    if bus.dma_en and layout.pmem_base <= bus.dma_addr < layout.pmem_end:
         if bus.dma_addr <= tcb_max:
             return ResetReason.TCB_PMEM_WRITE
         if not (rot.heal_latch and w and pc_in):
@@ -65,7 +63,7 @@ def rot_check(bus: SignalBus, rot: RotState, layout: MemoryLayout) -> ResetReaso
             return ResetReason.GIE_IN_TCB
         if pc_in:
             # (d) fixed exit point; rule (c) needs pc outside the TCB
-            if not TCB_MIN <= nxt <= tcb_max and pc != tcb_max:
+            if not tcb_min <= nxt <= tcb_max and pc != tcb_max:
                 return ResetReason.ILLEGAL_TCB_EXIT
             return None
     elif pc_in:
@@ -76,7 +74,7 @@ def rot_check(bus: SignalBus, rot: RotState, layout: MemoryLayout) -> ResetReaso
         return ResetReason.ILLEGAL_TCB_ENTRY
 
     # (c) fixed entry point, regardless of mode
-    if not pc_in and TCB_MIN < nxt <= tcb_max:
+    if not pc_in and tcb_min < nxt <= tcb_max:
         return ResetReason.ILLEGAL_TCB_ENTRY
     return None
 

@@ -16,7 +16,7 @@ from .device import Device, DeviceEvents, DeviceMode
 from .isa import INSTR_SIZE
 from .mcu import SLOT, MemoryLayout, ProgramImage, render_pmem
 from .monitor import TriggerKind
-from .tcb import DeviceKey, HealAction, WaitPolicy
+from .tcb import RETRANSMIT_EVERY, DeviceKey, HealAction, WaitPolicy
 from .verifier import Verifier, VerifierConfig
 from .wire import CfaReport, decode_log
 
@@ -179,7 +179,7 @@ def run_image(image: ProgramImage, ar: tuple[int, int], layout: MemoryLayout,
     elif device.mode is DeviceMode.SHUTDOWN:
         outcome = Outcome.SHUTDOWN
     elif device.mode is DeviceMode.WAIT and \
-            device.cycle - device.wait_started >= device.policy.retransmit_every:
+            device.cycle - device.wait_started >= RETRANSMIT_EVERY:
         outcome = Outcome.DEADLOCK
     else:
         outcome = Outcome.BUDGET_EXHAUSTED

@@ -28,7 +28,7 @@ ATT_CYCLES_PER_BYTE = 4
 AUTH_CYCLES = 3_000
 HEAL_CYCLES = 500
 WAIT_POLL_CYCLES = 50      # granularity of the wait loop
-DEFAULT_RETRANSMIT_EVERY = 10_000
+RETRANSMIT_EVERY = 10_000  # cycles between sends of an unanswered report
 
 
 class PolicyMode(enum.Enum):
@@ -42,7 +42,6 @@ class WaitPolicy:
     """How long the prover is willing to pause for verifier approval."""
     mode: PolicyMode = PolicyMode.STRICT
     timeout_cycles: int = 0
-    retransmit_every: int = DEFAULT_RETRANSMIT_EVERY
 
     def __post_init__(self):
         if self.mode is not PolicyMode.STRICT and self.timeout_cycles <= 0:

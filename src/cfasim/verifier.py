@@ -90,7 +90,6 @@ class Violation:
 @dataclass
 class VerifySession:
     """Per-prover verifier state carried across reports."""
-    expected_pmem: bytes
     layout: MemoryLayout
     issued_chal: int = 0
     confirmed_chal: int = 0
@@ -355,14 +354,18 @@ class Verifier:
 
     def __init__(self, config: VerifierConfig):
         self.config = config
-        self.session = VerifySession(config.expected_pmem, config.layout)
+        self.session = VerifySession(config.layout)
+        # the expected PMEM and its CFG, whose bounds every response issues;
+        # a configured update replaces both once, at the first deny
+        self.expected_pmem = config.expected_pmem
         self.graph = build_cfg(config.expected_pmem, config.target_ar,
                                config.ivt_targets)
+        self._update = None if config.patched_pmem is None else \
+            (config.patched_pmem, config.patched_ar or config.target_ar)
         self.audit: list[str] = []
         # the answer to the last authentic report, resent verbatim when that
         # report is retransmitted; only one challenge is outstanding at a time
         self._last: tuple[tuple[int, bytes], bytes] | None = None
-        self._target_ar = config.target_ar
         # primes again by itself when the expectation switches to patched_pmem
         self._att = PmemMac(config.key)
 
@@ -396,7 +399,7 @@ class Verifier:
             self._audit("cached", cached[0], "resend", md.cf_size)
             return cached
 
-        expect_h = self._att.digest(sess.expected_pmem, frame_covered(frame))
+        expect_h = self._att.digest(self.expected_pmem, frame_covered(frame))
         if expect_h != report.h:
             self._audit("?", 0, "bad-mac", md.cf_size)
             return None
@@ -423,12 +426,10 @@ class Verifier:
         else:
             # the response commands remediation; the device restarts fresh
             sess.fresh_run()
-            if self.config.patched_pmem is not None:
-                sess.expected_pmem = self.config.patched_pmem
-                if self.config.patched_ar is not None:
-                    self._target_ar = self.config.patched_ar
-                self.graph = build_cfg(sess.expected_pmem, self._target_ar,
-                                       self.config.ivt_targets)
+            if self._update is not None:
+                self.expected_pmem, ar = self._update
+                self._update = None
+                self.graph = build_cfg(self.expected_pmem, ar, self.config.ivt_targets)
 
         raw = self._respond(app)
         self._last = (cache_key, raw)
@@ -438,7 +439,7 @@ class Verifier:
     def _respond(self, app: int) -> bytes:
         sess = self.session
         sess.issued_chal += 1
-        ar_min, ar_max = self._target_ar
+        ar_min, ar_max = self.graph.ar_min, self.graph.ar_max
         auth = response_auth(self.config.key, sess.issued_chal, ar_min, ar_max, app)
         sess.issued_ar = (ar_min, ar_max)
         return encode_response(CfaResponse(app, sess.issued_chal, ar_min, ar_max, auth))

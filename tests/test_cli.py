@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from cfasim.cli import main
+from cfasim.channel import ChannelPolicy
+from cfasim.cli import _CONFIG_KEYS, build_scenario_config, load_config_file, main
 from test_asm import IVT_PROGRAM
 from cfasim.scenario import ScenarioConfig, run_scenario
+from cfasim.tcb import HealAction, PolicyMode, WaitPolicy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -79,6 +81,48 @@ def test_config_file_rejects_what_it_does_not_understand(tmp_path, capsys, text,
     assert rc == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.err.count("\n") == 1
+
+
+# one line per config key: (key, value text, field it lands in, parsed value)
+CONFIG_FIELDS = [
+    ("app", "moderate", "app", "moderate"),
+    ("log_size", "0x40", "max_cflog_bytes", 64),
+    ("timer", "5000", "timer_deadline_cycles", 5000),
+    ("policy", "heal:0x100", "policy", WaitPolicy(PolicyMode.BEST_EFFORT_HEAL, 256)),
+    ("heal", "update", "heal_action", HealAction.UPDATE),
+    ("input", "none", "input_kind", "none"),
+    ("seed", "7", "seed", 7),
+    ("budget", "123456", "cycle_budget", 123456),
+    ("drop", "0.25", "channel.drop_prob", 0.25),
+    ("dup", "0.5", "channel.dup_prob", 0.5),
+    ("tamper", "0.125", "channel.tamper_prob", 0.125),
+    ("latency", "0x20", "channel.latency", 32),
+    ("drop_first", "3", "channel.drop_first", 3),
+]
+
+
+@pytest.mark.parametrize("key, text, path, want", CONFIG_FIELDS,
+                         ids=[row[0] for row in CONFIG_FIELDS])
+def test_config_file_key_lands_in_its_field(tmp_path, key, text, path, want):
+    cfg_file = tmp_path / "one.cfg"
+    cfg_file.write_text(f"{key} = {text}\n")
+    got = build_scenario_config(load_config_file(str(cfg_file)))
+    expect = ScenarioConfig()
+    owner, _, name = path.rpartition(".")
+    if owner:
+        expect.channel = ChannelPolicy(**{name: want})
+    else:
+        setattr(expect, name, want)
+    assert got == expect
+
+
+def test_config_keys_are_listed_in_order():
+    assert [row[0] for row in CONFIG_FIELDS] == list(_CONFIG_KEYS)
+    with pytest.raises(ValueError) as err:
+        build_scenario_config({"bogus": "1"})
+    assert str(err.value).endswith(
+        "(valid: app, log_size, timer, policy, heal, input, seed, budget, "
+        "drop, dup, tamper, latency, drop_first)")
 
 
 def test_scenario_rejects_unknown_input_kind():

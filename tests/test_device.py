@@ -126,6 +126,59 @@ junk:   .word 0x00ff, 0x0000
         assert result.device.last_fault == "illegal-opcode"
 
 
+def app_mode_device(source, sp, events=None):
+    """A device past its boot session, about to run ``main`` in application
+    mode with the stack pointer at ``sp``, recording every committed record."""
+    from cfasim.device import Device
+    from cfasim.rot import Mode
+    from cfasim.tcb import DeviceKey
+
+    built = assemble(source, entry=LAY.tcb_min)
+    dev = Device(built.image, LAY, DeviceKey(b"\x01" * 32), events=events,
+                 keep_trace=True)
+    dev._pending_session = None
+    dev.rot.mode = Mode.APP
+    dev.state.pc = built.symbols["main"]
+    dev.state.sp = sp
+    return dev
+
+
+class TestStackOverflowReset:
+    """A push at the bottom of DMEM faults before its record commits, and
+    the device resets into a violation session with MACHINE_FAULT."""
+
+    def assert_fault_reset(self, dev, retired):
+        dmem = bytes(dev.state.dmem)
+        dev.tick(Channel())
+        assert dev.last_reset is ResetReason.MACHINE_FAULT
+        assert dev.last_fault == "stack-overflow"
+        assert dev._pending_session is TriggerKind.VIOLATION
+        assert dev.state.retired == retired == len(dev.trace)
+        assert bytes(dev.state.dmem) == dmem     # nothing was pushed
+
+    @pytest.mark.parametrize("line", ["PUSH r1", "CALL fn"])
+    def test_push_or_call(self, line):
+        dev = app_mode_device(f"""
+        .org 0x9000
+main:   {line}
+fn:     HALT
+""", LAY.dmem_base)
+        self.assert_fault_reset(dev, 0)
+
+    def test_maskable_acceptance(self):
+        dev = app_mode_device("""
+        .org 0x9000
+main:   EINT
+        NOP
+        NOP
+        HALT
+isr:    RETI
+        .org 0x0042
+        .word isr
+""", LAY.dmem_base, DeviceEvents(irq_at_retire={1: (1,)}))
+        self.assert_fault_reset(dev, 2)    # EINT and the in-flight NOP
+
+
 class TestTcbInterference:
     def test_dma_during_wait_resets_then_reattests_same_log(self):
         # DMA fires while the device sits in the wait phase
@@ -334,7 +387,7 @@ class TestMetadataUpdatePath:
     def test_stored_challenge_tracks_responses(self):
         res = run_scenario(ScenarioConfig(app="moderate", max_cflog_bytes=512))
         from cfasim.monitor import read_metadata
-        md = read_metadata(res.device.state.dmem, res.device.layout)
+        md = read_metadata(res.device.state.dmem)
         assert md.chal == res.stats.n_reports  # one approval per report
 
 
@@ -368,6 +421,23 @@ done:   NOP
         dev = result.device
         assert bytes(dev.state.pmem) == render_pmem(tiny.image, LAY)
         assert " app=1 " in result.audit[-1]
+
+    def test_update_without_an_image_reboots_the_unchanged_image(self):
+        from cfasim.apps import encode_input, overflow_input
+        from cfasim.mcu import render_pmem
+
+        fx = FIXTURES["password"]
+        built = assemble(fx.source, entry=LAY.tcb_min)
+        ar = (built.symbols["app_main"], built.symbols["done"])
+        runs = {action: run_image(built.image, ar, LAY, key_bytes=_derive_key(3),
+                                  heal_action=action, cycle_budget=600_000,
+                                  input_bytes=encode_input(overflow_input(built.symbols)))
+                for action in (HealAction.UPDATE, HealAction.REBOOT)}
+        update, reboot = runs[HealAction.UPDATE], runs[HealAction.REBOOT]
+        assert update.device.stats.heal_cycles >= 2 * HEAL_CYCLES   # healed, rebooted, healed
+        assert bytes(update.device.state.pmem) == render_pmem(built.image, LAY)
+        assert update.audit == reboot.audit and update.reports == reboot.reports
+        assert update.stats == reboot.stats
 
     def test_boot_reports_measure_the_image_in_place(self):
         """The first BOOT report measures the original image and the first
@@ -615,6 +685,26 @@ class TestResponseHandling:
             dev.tick(chan)
         assert dev.mode is DeviceMode.WAIT
         assert dev.stats.n_rejected_responses > rejected_before
+
+    def test_undecodable_response_is_rejected_and_the_run_completes(self):
+        from cfasim.device import DeviceMode
+        from cfasim.wire import WireError, decode_response
+
+        dev, ver, chan, resp = self._boot_to_wait()
+        garbage = resp[:-1]
+        with pytest.raises(WireError):
+            decode_response(garbage)
+        chan.inject("prv", garbage, dev.cycle)
+        chan.inject("prv", resp, dev.cycle + 1)
+        while dev.running and dev.cycle < 1_000_000:
+            dev.tick(chan)
+            while (frame := chan.deliver("vrf", dev.cycle)) is not None:
+                answer = ver.handle_report(frame)
+                if answer is not None:
+                    chan.send("prv", answer, dev.cycle)
+        assert dev.mode is DeviceMode.HALTED
+        assert dev.stats.n_rejected_responses == 1
+        assert all(" app=1 " in line for line in ver.audit)
 
     def test_duplicated_frames_end_to_end(self):
         from cfasim.channel import ChannelPolicy

@@ -200,6 +200,17 @@ fn:     RET
         with pytest.raises(FaultError, match="underflow"):
             step(st)
 
+    @pytest.mark.parametrize("line", ["PUSH r1", "CALL fn", "CALLI r1"])
+    def test_stack_overflow_faults_before_the_push(self, line):
+        st, _ = boot(f"        .org 0x9000\n        {line}\nfn:     HALT\n")
+        st.pc, st.regs[1] = 0x9000, 0x9004
+        st.sp = MemoryLayout().dmem_base
+        dmem = bytes(st.dmem)
+        with pytest.raises(FaultError, match="stack-overflow"):
+            step(st)
+        assert (st.pc, st.sp, st.retired) == (0x9000, MemoryLayout().dmem_base, 0)
+        assert bytes(st.dmem) == dmem
+
     @pytest.mark.parametrize("name", sorted(UNMAPPED_ACCESSES))
     def test_unmapped_access_faults(self, name):
         source = UNMAPPED_ACCESSES[name]
@@ -285,6 +296,25 @@ isr:    MOV r5, #1
         assert bus.irq_acc and bus.irq_line == NMI_LINE
         assert bus.pc_next == MemoryLayout().tcb_min
 
+    def test_dint_clears_gie(self):
+        st, _ = boot("        .org 0x9000\n        EINT\n        DINT\n        HALT\n")
+        st.pc = 0x9000
+        step(st)
+        assert st.gie
+        step(st)
+        assert not st.gie
+
+    def test_maskable_acceptance_overflowing_the_stack_faults(self):
+        st, _ = boot(self.SRC)
+        st.pc = 0x9000
+        step(st)                      # EINT retires
+        raise_irq(st, 1)
+        step(st)                      # in-flight NOP retires
+        st.sp = MemoryLayout().dmem_base
+        with pytest.raises(FaultError, match="stack-overflow"):
+            step(st)                  # the acceptance would push pc
+        assert st.pc == 0x9008 and st.gie and 1 in st.pending_irq
+
     def test_unknown_line_rejected(self):
         st, _ = boot(self.SRC)
         with pytest.raises(Exception, match="unknown"):
@@ -356,6 +386,18 @@ class TestDma:
         _, bus = step(st)
         assert not bus.dma_en
         assert st.dmem[0x1000] == 0x7F and st.dmem[0x1001] == 0x7F
+
+    def test_dma_byte_rides_an_acceptance(self):
+        st, sym = boot(TestInterrupts.SRC)
+        st.pc = 0x9000
+        step(st)                      # EINT retires
+        raise_irq(st, 1)
+        step(st)                      # in-flight NOP retires
+        st.dma.next_addr, st.dma.remaining, st.dma.value = 0x1000, 1, 0x5A
+        _, bus = step(st)
+        assert bus.irq_acc and bus.pc_next == sym["isr"]
+        assert bus.dma_en and bus.dma_addr == 0x1000
+        assert st.dmem[0x1000] == 0x5A and st.dma.remaining == 0
 
 
 class TestDecodeCache:

@@ -29,7 +29,7 @@ def rec(pc=0x9000, pc_next=None, inst=Op.NOP, **kw):
 def fresh_monitor(ar=(0x9000, 0x9FFC), cflog_size=None):
     lay = LAY if cflog_size is None else MemoryLayout(cflog_size=cflog_size)
     dmem = bytearray(lay.dmem_size)
-    write_metadata(dmem, lay, Metadata(0, ar[0], ar[1], 0))
+    write_metadata(dmem, Metadata(0, ar[0], ar[1], 0))
     return CfaMonitor(dmem, lay), lay
 
 
@@ -129,7 +129,7 @@ class TestLogMonitor:
         mon.observe(rec(pc=lay.tcb_max, pc_next=0x9000, inst=Op.JMP))
         # the exit jump itself lands in the fresh slice
         assert mon.cf_size == 1
-        assert read_log_entries(mon.dmem, lay, 1) == [(lay.tcb_max, 0x9000)]
+        assert read_log_entries(mon.dmem, 1) == [(lay.tcb_max, 0x9000)]
 
     def test_flush_fires_with_reserve_margin(self):
         mon, lay = fresh_monitor(cflog_size=32)   # 8 entries
@@ -195,7 +195,7 @@ class TestLoopMonitor:
         assert evs[1].entry is None and mon.loop.ctr == 2
         assert mon.cf_size == 1   # counter slot not yet committed
         # the counter is written in place in the slot after the jump
-        assert read_log_entries(mon.dmem, lay, 2) == [(0xA010, 0xA004),
+        assert read_log_entries(mon.dmem, 2) == [(0xA010, 0xA004),
                                                      (0x0000, 0x0002)]
 
     def test_loop_exit_commits_counter_and_resets(self):
@@ -205,14 +205,14 @@ class TestLoopMonitor:
         assert ev.entry == (0xA020, 0xA060)
         assert mon.loop.ctr == 1
         assert mon.cf_size == 3
-        assert read_log_entries(mon.dmem, lay, 3) == [
+        assert read_log_entries(mon.dmem, 3) == [
             (0xA010, 0xA004), (0x0000, 0x0003), (0xA020, 0xA060)]
 
     def test_five_iterations_produce_jump_plus_counter(self):
         mon, lay = fresh_monitor(ar=(0x9000, 0xA0FC))
         drive_loop(mon, 0xA010, 0xA004, 5)
         mon.observe(rec(pc=0xA014, pc_next=0xA060, inst=Op.JMP))
-        entries = read_log_entries(mon.dmem, lay, mon.cf_size)
+        entries = read_log_entries(mon.dmem, mon.cf_size)
         assert entries[:2] == [(0xA010, 0xA004), (0x0000, 0x0005)]
 
     def test_counter_saturates_below_program_memory(self):
@@ -230,11 +230,11 @@ class TestLoopMonitor:
         drive_loop(mon, *pair, 3)
         mon.observe(rec(pc=sym["fin"] + 4, pc_prev=sym["fin"], pc_next=lay.tcb_min,
                         inst=None, irq_acc=True, irq_line=NMI_LINE))
-        entries = read_log_entries(mon.dmem, lay, mon.cf_size)
+        entries = read_log_entries(mon.dmem, mon.cf_size)
         assert [(s, d) if c is None else c for s, d, c in
                 decode_log(entries[1:-1])] == [pair, limit - 1, pair, 2]
 
-        s = VerifySession(b"", lay)
+        s = VerifySession(lay)
         s.issued_ar = ar
         cfg = build_cfg(render_pmem(res.image, lay), ar)
         assert validate_slice(SliceKind.SINGLE, entries, cfg, s) is None
@@ -248,9 +248,9 @@ def drive_and_replay(image, lay, ar, start, cycles, events=None):
     replayed data memory."""
     dev = Device(image, lay, DeviceKey(b"\x01" * 32), events=events,
                  keep_trace=True)
-    md = read_metadata(dev.state.dmem, lay)
+    md = read_metadata(dev.state.dmem)
     md.ar_min, md.ar_max = ar
-    write_metadata(dev.state.dmem, lay, md)
+    write_metadata(dev.state.dmem, md)
     dmem0 = bytearray(dev.state.dmem)
 
     dev._pending_session = None
@@ -270,7 +270,7 @@ def drive_and_replay(image, lay, ar, start, cycles, events=None):
 def assert_same_log(a, b, lay):
     lo = lay.cflog_base - lay.dmem_base
     assert a[lo:lo + lay.cflog_size] == b[lo:lo + lay.cflog_size]
-    assert read_metadata(a, lay) == read_metadata(b, lay)
+    assert read_metadata(a) == read_metadata(b)
 
 
 class TestReplayPurity:
@@ -297,7 +297,7 @@ class TestReplayPurity:
         accepted = [b.irq_line for b in dev.trace if b.irq_acc]
         assert sum(line != NMI_LINE for line in accepted) >= 2
         assert accepted[-1] == NMI_LINE        # ended in the trigger session
-        assert read_metadata(replayed, lay).cf_size > 0
+        assert read_metadata(replayed).cf_size > 0
         assert_same_log(dev.state.dmem, replayed, lay)
 
 
@@ -338,10 +338,9 @@ done:   HALT
         loop = dev.monitor.loop
         assert (loop.src_loop, loop.dest_loop) == (s, after)
 
-        md = read_metadata(dev.state.dmem, lay)
+        md = read_metadata(dev.state.dmem)
         pending = 1 if loop.ctr > 1 else 0      # an uncommitted counter slot
-        got = decompress_entries(read_log_entries(dev.state.dmem, lay,
-                                                  md.cf_size + pending))
+        got = decompress_entries(read_log_entries(dev.state.dmem, md.cf_size + pending))
         want = golden_region_trace(built.image, lay, ar, irqs)
         assert want == [(s, after)]
         assert got == want
@@ -362,8 +361,8 @@ class TestObserveEarlyOut:
 
     def test_log_at_flush_level_triggers(self):
         mon, lay = fresh_monitor(cflog_size=32)
-        write_metadata(mon.dmem, lay, Metadata(0, 0x9000, 0x9FFC,
-                                               lay.max_entries - FLUSH_RESERVE))
+        write_metadata(mon.dmem, Metadata(0, 0x9000, 0x9FFC,
+                                          lay.max_entries - FLUSH_RESERVE))
         assert mon.observe(rec(pc=0x9100, inst=Op.MOV)).trigger is TriggerKind.LOG_FULL
 
     def test_region_end_triggers(self):
@@ -379,6 +378,6 @@ class TestObserveEarlyOut:
 
     def test_exit_point_clears_log(self):
         mon, lay = fresh_monitor()
-        write_metadata(mon.dmem, lay, Metadata(0, 0x9000, 0x9FFC, 3))
+        write_metadata(mon.dmem, Metadata(0, 0x9000, 0x9FFC, 3))
         mon.observe(rec(pc=lay.tcb_max, inst=Op.MOV))
         assert mon.cf_size == 0

@@ -9,7 +9,7 @@ from cfasim.mcu import MemoryLayout
 from cfasim.scenario import (Outcome, ScenarioConfig, StatsReport, run_image,
                              run_scenario, _derive_key)
 from cfasim.monitor import TriggerKind
-from cfasim.tcb import HealAction
+from cfasim.tcb import RETRANSMIT_EVERY, HealAction
 
 
 def test_every_trigger_yields_exactly_one_report():
@@ -59,7 +59,7 @@ def test_budget_end_in_a_fresh_wait_is_not_deadlock(cfg):
     res = run_scenario(cfg)
     assert res.device.mode is DeviceMode.WAIT
     assert res.outcome is Outcome.BUDGET_EXHAUSTED
-    assert res.device.cycle - res.device.wait_started < cfg.policy.retransmit_every
+    assert res.device.cycle - res.device.wait_started < RETRANSMIT_EVERY
 
 
 def test_periodic_trigger_reports_spinning_application():

@@ -21,7 +21,7 @@ def pw():
 
 
 def session(ar, chal=1):
-    s = VerifySession(b"", LAY)
+    s = VerifySession(LAY)
     s.issued_ar = ar
     s.issued_chal = chal
     return s
@@ -290,6 +290,30 @@ class TestEndToEndVerdicts:
         assert ver._last[1] == responses[-1]
         assert ver.handle_report(reports[-2]) is None
         assert " reason=stale-chal " in ver.audit[-1]
+
+    def test_update_expectation_is_built_once(self, pw, monkeypatch):
+        """The first deny switches the expectation to the configured update
+        and builds its CFG, once, however many denies follow: here the
+        update reinstalls the same overflowable image, so every run is
+        denied."""
+        import cfasim.verifier as verifier
+        from cfasim.apps import encode_input, overflow_input
+        from cfasim.scenario import run_image
+        from cfasim.tcb import HealAction
+
+        res, ar, _ = pw
+        builds = []
+        build_cfg = verifier.build_cfg
+        monkeypatch.setattr(verifier, "build_cfg",
+                            lambda *args: builds.append(args[1]) or build_cfg(*args))
+        out = run_image(res.image, ar, LAY, key_bytes=hashlib.sha256(b"vk").digest(),
+                        heal_action=HealAction.UPDATE, update_image=res.image,
+                        patched_ar=ar, cycle_budget=1_000_000,
+                        input_bytes=encode_input(overflow_input(res.symbols)))
+        denies = [line for line in out.audit if " app=0 " in line and "kind=?" not in line]
+        assert len(denies) >= 3
+        assert builds == [ar, ar]
+        assert out.verifier.expected_pmem == render_pmem(res.image, LAY)
 
 
 class TestTriggerByte:

@@ -49,6 +49,13 @@ class TestReportLayout:
         with pytest.raises(WireError):
             decode_report(bytes(raw))
 
+    @pytest.mark.parametrize("byte", [0, 6, 0xFF])
+    def test_unknown_trigger_byte_rejected(self, byte):
+        raw = bytearray(encode_report(make_report([(1, 2)])))
+        raw[42] = byte
+        with pytest.raises(WireError, match=f"bad trigger byte {byte}"):
+            decode_report(bytes(raw))
+
     def test_cf_size_entry_count_consistency_enforced(self):
         md = Metadata(0, 0, 0, 3)
         with pytest.raises(WireError):
