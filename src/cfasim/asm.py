@@ -25,8 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .isa import (INSTR_SIZE, SP_REG, SYNTAX, DecodeError, Instr, Op, decode,
-                  format_instr)
+from .isa import (INSTR_SIZE, SP_REG, SYNTAX, WORD, DecodeError, Op, decode_word,
+                  format_instr, pack)
 from .mcu import ProgramImage, Segment
 
 
@@ -148,7 +148,7 @@ class _Pass:
                 i = g.get("i")
                 imm = 0 if i is None else self._check16(self._expr(i, line_no), line_no)
                 rs = SP_REG if g.get("sp") else int(g.get("s") or 0)
-                return Instr(op, mode, int(g.get("d") or 0), rs, imm).encode()
+                return pack(op, mode, int(g.get("d") or 0), rs, imm)
         raise AsmError(line_no, f"bad operands for {mnem}: {rest!r}")
 
 
@@ -169,7 +169,9 @@ def disassemble(data: bytes, base: int) -> list[tuple[int, str]]:
     for off in range(0, len(data), INSTR_SIZE):
         raw = data[off:off + INSTR_SIZE]
         try:
-            ins = decode(raw)
+            if len(raw) < INSTR_SIZE:
+                raise DecodeError("truncated instruction")
+            ins = decode_word(WORD.unpack(raw)[0])
             form = SYNTAX[ins.op, ins.mode]
             if (ins.rd and "d" not in form) or (ins.rs and "s" not in form.lower()) \
                     or (ins.imm and "i" not in form):

@@ -14,6 +14,7 @@ Opcode class 0 is NOP so that zero-filled program memory decodes cleanly.
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -77,7 +78,11 @@ SYNTAX: dict[tuple[Op, int], str] = {
     **{(op, 0): "" for op in (Op.NOP, Op.RET, Op.RETI, Op.EINT, Op.DINT, Op.HALT)},
 }
 
-_MODES = {op: tuple(m for o, m in SYNTAX if o is op) for op in Op}
+# Byte 0 of every valid (op, mode) -> the op, and whether the rs nibble may
+# name SP.
+_BYTE0 = {(op << 3) | mode: (op, "S" in form) for (op, mode), form in SYNTAX.items()}
+_FIELDS = struct.Struct("<BBH")
+WORD = struct.Struct("<I")   # one instruction as the 32-bit word decode_word takes
 
 # Instructions that transfer control when they retire.  Conditional jumps
 # count only when taken; the monitor infers that from pc_next != pc + 4.
@@ -101,26 +106,46 @@ class Instr:
     imm: int = 0
 
     def encode(self) -> bytes:
-        return struct.pack("<BBH", (self.op << 3) | self.mode,
-                           (self.rd << 4) | self.rs, self.imm)
+        return pack(self.op, self.mode, self.rd, self.rs, self.imm)
+
+
+def pack(op: Op, mode: int, rd: int, rs: int, imm: int) -> bytes:
+    """The 4-byte encoding of one instruction's fields."""
+    return _FIELDS.pack((op << 3) | mode, (rd << 4) | rs, imm)
+
+
+def _instr(b0: int, b1: int, imm: int) -> Instr:
+    """The instruction whose encoded fields are ``b0``, ``b1`` and ``imm``."""
+    try:
+        op, sp_ok = _BYTE0[b0]
+    except KeyError:
+        cls = b0 >> 3
+        if cls >= len(Op):
+            raise DecodeError(f"unknown opcode class {cls}") from None
+        raise DecodeError(f"invalid mode {b0 & 0x7} for {Op(cls).name}") from None
+    rd, rs = b1 >> 4, b1 & 0xF
+    if rd > 7 or (rs > 7 and not (rs == SP_REG and sp_ok)):
+        raise DecodeError(f"invalid register nibble in {op.name}")
+    return Instr(op, b0 & 0x7, rd, rs, imm)
 
 
 def decode(raw: bytes | bytearray | memoryview, offset: int = 0) -> Instr:
-    """Decode one instruction at ``offset``; raises DecodeError if invalid."""
+    """Decode one instruction at ``offset``; raises DecodeError if invalid.
+    The plain reference decoder: it caches nothing."""
+    if offset < 0:
+        raise DecodeError("negative offset")
     if offset + INSTR_SIZE > len(raw):
         raise DecodeError("truncated instruction")
-    b0, b1, imm = struct.unpack_from("<BBH", raw, offset)
-    cls, mode = b0 >> 3, b0 & 0x7
-    try:
-        op = Op(cls)
-    except ValueError:
-        raise DecodeError(f"unknown opcode class {cls}") from None
-    if mode not in _MODES[op]:
-        raise DecodeError(f"invalid mode {mode} for {op.name}")
-    rd, rs = b1 >> 4, b1 & 0xF
-    if rd > 7 or (rs > 7 and not (rs == SP_REG and "S" in SYNTAX[op, mode])):
-        raise DecodeError(f"invalid register nibble in {op.name}")
-    return Instr(op, mode, rd, rs, imm)
+    return _instr(*_FIELDS.unpack_from(raw, offset))
+
+
+@functools.lru_cache(maxsize=4096)
+def decode_word(word: int) -> Instr:
+    """:func:`decode` of the 32-bit little-endian ``word``, memoised per
+    word in a bounded table.  An invalid word raises on every call and is
+    never cached.  The simulator decodes only through here; the golden
+    interpreter keeps to :func:`decode`."""
+    return _instr(word & 0xFF, (word >> 8) & 0xFF, word >> 16)
 
 
 def format_instr(ins: Instr) -> str:

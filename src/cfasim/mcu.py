@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from .isa import INSTR_SIZE, DecodeError, Instr, Op, SP_REG, decode
+from .isa import INSTR_SIZE, WORD, DecodeError, Instr, Op, SP_REG, decode_word
 from .isa import (ADD, CALL, CALLI, CMP, DINT, EINT, HALT, JMP, JNZ, JZ, MOV,
                   POP, PUSH, RET, RETI, SUB)
 from .isa import (M_ABS_LOAD, M_ABS_STORE, M_IDX_LOAD, M_IDX_STORE,
@@ -356,19 +356,21 @@ def acceptable_line(state: McuState) -> int | None:
 
 
 def _fetch(state: McuState) -> Instr:
-    """The instruction at pc, decoded once per PMEM content.  Only a valid
-    instruction is cached, so a faulting pc faults on every fetch."""
+    """The instruction at pc, decoded once per PMEM content (and, through
+    ``decode_word``, once per instruction word).  Only a valid instruction
+    is cached, so a faulting pc faults on every fetch."""
     pc = state.pc
     ins = state.decoded.get(pc)
     if ins is not None:
         return ins
-    lay = state.layout
     if pc % 2:
         raise FaultError("misaligned-pc")
-    if not (lay.in_pmem(pc) and pc + INSTR_SIZE <= lay.pmem_end):
+    pmem = state.pmem
+    off = pc - state.layout.pmem_base
+    if not 0 <= off <= len(pmem) - INSTR_SIZE:
         raise FaultError("pc-outside-pmem")
     try:
-        ins = decode(state.pmem, pc - lay.pmem_base)
+        ins = decode_word(WORD.unpack_from(pmem, off)[0])
     except DecodeError:
         raise FaultError("illegal-opcode") from None
     state.decoded[pc] = ins

@@ -15,8 +15,9 @@ import enum
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .isa import (CALL, CALLI, INSTR_SIZE, JMP, JNZ, JZ, NO_FALLTHROUGH_OPS,
-                  RET, RETI, DecodeError, Instr, decode)
+from .isa import (CALL, CALLI, INSTR_SIZE, JMP, JNZ, JZ, M_IMM, MOV,
+                  NO_FALLTHROUGH_OPS, RET, RETI, WORD, DecodeError, Instr,
+                  decode_word)
 from .mcu import MemoryLayout
 from .monitor import Metadata, TriggerKind
 from .wire import (CfaResponse, PmemMac, WireError, decode_log, decode_report,
@@ -48,17 +49,26 @@ class Cfg:
 def build_cfg(binary: bytes, ar: tuple[int, int],
               ivt_targets: tuple[int, ...] = ()) -> Cfg:
     """Disassemble the attested region of the expected binary and collect
-    its entry points.  ``binary`` is full PMEM content."""
+    its entry points: ``ar_min``, every direct ``CALL`` target, and every
+    address the region takes (a ``MOV rd, #imm`` whose immediate is a
+    4-aligned PMEM address), which is where a ``CALLI`` may go.  ``binary``
+    is full PMEM content."""
     ar_min, ar_max = ar
+    base, end = MemoryLayout.pmem_base, MemoryLayout.pmem_base + len(binary)
     instrs: dict[int, Instr] = {}
     for addr in range(ar_min, ar_max + 1, INSTR_SIZE):
+        if not (base <= addr and addr + INSTR_SIZE <= end):
+            raise CfgError(f"instruction address {addr:#06x} outside PMEM")
         try:
-            instrs[addr] = decode(binary, addr - MemoryLayout.pmem_base)
+            instrs[addr] = decode_word(WORD.unpack_from(binary, addr - base)[0])
         except DecodeError as e:
             raise CfgError(f"undecodable instruction at {addr:#06x}: {e}") from None
 
-    known = {ins.imm for ins in instrs.values() if ins.op is CALL} | {ar_min}
-    return Cfg(ar_min, ar_max, instrs, known, set(ivt_targets))
+    known = {ins.imm for ins in instrs.values()
+             if ins.op is CALL or (ins.op is MOV and ins.mode == M_IMM
+                                   and base <= ins.imm < end
+                                   and not ins.imm % INSTR_SIZE)}
+    return Cfg(ar_min, ar_max, instrs, known | {ar_min}, set(ivt_targets))
 
 
 # ---------------------------------------------------------------------------

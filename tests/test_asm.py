@@ -1,9 +1,11 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
-from cfasim.apps import PASSWORD
+from cfasim.apps import FIXTURES, PASSWORD
 from cfasim.asm import AsmError, assemble, disassemble, disassemble_image
-from cfasim.isa import INSTR_SIZE
+from cfasim.isa import INSTR_SIZE, SP_REG, SYNTAX
 from cfasim.mcu import Segment
 
 
@@ -187,3 +189,34 @@ def test_addresses_advance_by_instruction_size():
     res = assemble("        .org 0x9000\n        NOP\n        NOP\n        NOP\n")
     listing = disassemble_image(res.image)
     assert [a for a, _ in listing] == [0x9000 + i * INSTR_SIZE for i in range(3)]
+
+
+@pytest.mark.parametrize("op, mode", list(SYNTAX),
+                         ids=[f"{op.name}-{mode}" for op, mode in SYNTAX])
+def test_every_form_assembles_to_its_fields(op, mode):
+    # byte 0 = op << 3 | mode, byte 1 = rd << 4 | rs, then imm little-endian
+    form = SYNTAX[op, mode]
+    for rs_text, rs in (("r3", 3), ("SP", SP_REG)) if "S" in form else (("r3", 3),):
+        text = "".join({"d": "r5", "s": "r3", "S": rs_text, "i": "0xBEEF"}.get(c, c)
+                       for c in form)
+        rd = 5 if "d" in form else 0
+        rs = rs if "s" in form.lower() else 0
+        imm = 0xBEEF if "i" in form else 0
+        data = assemble(f"        .org 0x9000\n        {op.name} {text}\n").image.segments[0].data
+        assert data == bytes([op << 3 | mode, rd << 4 | rs]) + imm.to_bytes(2, "little")
+
+
+# SHA-256 (first 16 hex digits) of every fixture's assembled image file.
+FIXTURE_IMAGES = {
+    ("few_branch", "source"): "744572f3fbcfe068",
+    ("moderate", "source"): "36d88a6770b922e1",
+    ("loop_heavy", "source"): "e05fd4306958f1f8",
+    ("password", "source"): "50f8950dd3a7b2dc",
+    ("password", "patched_source"): "186246a97f8b8bc9",
+}
+
+
+@pytest.mark.parametrize("name, attr", list(FIXTURE_IMAGES))
+def test_fixture_images_are_pinned(name, attr):
+    image = assemble(getattr(FIXTURES[name], attr)).image
+    assert hashlib.sha256(image.to_bytes()).hexdigest()[:16] == FIXTURE_IMAGES[name, attr]

@@ -22,6 +22,15 @@ def test_undecodable_instruction_rejected():
         build_cfg(bytes(pmem), (0x9000, 0x9004))
 
 
+@pytest.mark.parametrize("ar", [(0x7FFC, 0x7FFC), (0xFFFC, 0x10000)],
+                         ids=["below-pmem", "past-pmem"])
+def test_region_outside_pmem_rejected(ar):
+    # a negative PMEM offset used to read PMEM's last word
+    pmem = bytes(LAY.pmem_size)
+    with pytest.raises(CfgError, match="outside PMEM"):
+        build_cfg(pmem, ar)
+
+
 def test_password_app_matches_hand_listing():
     cfg, sym = build(PASSWORD, ("app_main", "done"))
     assert sym["getpw"] == 0x9114

@@ -3,7 +3,9 @@ from hypothesis import given, strategies as st
 
 from cfasim.asm import assemble
 from cfasim.isa import (INSTR_SIZE, DecodeError, Instr, Op, SP_REG, decode,
-                        format_instr, M_IMM, M_REG)
+                        decode_word, format_instr, M_IMM, M_REG)
+from cfasim.mcu import MemoryLayout
+from helpers.golden import golden_region_trace
 
 VALID_MODES = {
     Op.NOP: [0], Op.JMP: [0], Op.JZ: [0], Op.JNZ: [0], Op.CALL: [0],
@@ -113,3 +115,74 @@ def test_bad_register_nibble_rejected():
 def test_truncated_instruction():
     with pytest.raises(DecodeError):
         decode(b"\x00\x00")
+
+
+def test_negative_offset_rejected():
+    # struct would read a negative offset from the end of the buffer
+    raw = bytes(4) + bytes([(Op.JMP << 3), 0, 0x34, 0x12])
+    with pytest.raises(DecodeError, match="negative offset"):
+        decode(raw, -4)
+
+
+# ---------------------------------------------------------------------------
+# The word table: decode_word is decode, memoised per 32-bit word
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DecodeError as e:
+        return ("DecodeError", str(e))
+
+
+def test_decode_word_matches_decode_on_every_first_half():
+    for imm in (0, 0xFFFF):
+        for half in range(0x10000):
+            word = half | imm << 16
+            assert _outcome(decode_word, word) == \
+                _outcome(decode, word.to_bytes(4, "little")), hex(word)
+
+
+def test_invalid_word_is_never_cached():
+    word = 31 << 3                       # opcode class 31
+    before = decode_word.cache_info()
+    for _ in range(2):
+        with pytest.raises(DecodeError, match="unknown opcode class 31"):
+            decode_word(word)
+    after = decode_word.cache_info()
+    assert after.currsize == before.currsize
+    assert after.misses == before.misses + 2
+
+
+def test_valid_word_is_decoded_once():
+    word = (Op.MOV << 3 | M_IMM) | 0x30 << 8 | 0xA5A4 << 16
+    first = decode_word(word)
+    hits = decode_word.cache_info().hits
+    assert decode_word(word) is first
+    assert decode_word.cache_info().hits == hits + 1
+    assert first == Instr(Op.MOV, M_IMM, 3, 0, 0xA5A4)
+
+
+def test_reference_decoder_does_not_touch_the_word_table():
+    # the golden interpreter decodes through decode and never shares the
+    # simulator's table
+    before = decode_word.cache_info()
+    decode(bytes([(Op.ADD << 3) | M_REG, 0x12, 0, 0]))
+    with pytest.raises(DecodeError):
+        decode(bytes([31 << 3, 0, 0, 0]))
+    lay = MemoryLayout()
+    res = assemble("""
+        .org 0x9000
+main:   MOV r1, #2
+loop:   SUB r1, #1
+        JNZ loop
+fin:    HALT
+""", entry=lay.tcb_min)
+    trace = golden_region_trace(res.image, lay, (res.symbols["main"], res.symbols["fin"]))
+    assert trace == [(res.symbols["loop"] + 4, res.symbols["loop"])]
+    assert decode_word.cache_info() == before
+
+
+def test_word_table_is_bounded():
+    maxsize = decode_word.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 4096

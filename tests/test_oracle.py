@@ -9,7 +9,7 @@ from helpers.progen import SMALL_LAYOUT
 from cfasim.apps import delay_loop
 from cfasim.asm import assemble
 from cfasim.mcu import MemoryLayout
-from cfasim.scenario import decompress_entries, run_image
+from cfasim.scenario import Outcome, decompress_entries, run_image
 
 LAY = MemoryLayout()
 
@@ -83,7 +83,8 @@ fin:    NOP
 work:   RET
 """,
     # CALLI and indexed MOV loads and stores; the loop counter round-trips
-    # through memory, and the direct CALL makes work a known entry
+    # through memory, and work is a known entry both as a direct CALL target
+    # and as the address MOV r1, #work takes
     "calli-indexed": """
         .org 0x9000
 main:   MOV r7, #3
@@ -116,3 +117,15 @@ def test_monitor_pipeline_matches_oracle_on_fixture():
             got.extend(e for e in ents
                        if not (SMALL_LAYOUT.in_tcb(e[0]) or SMALL_LAYOUT.in_tcb(e[1])))
         assert got == golden_region_trace(res.image, SMALL_LAYOUT, ar), name
+
+
+def test_calli_to_address_taken_target_completes():
+    # without CALL work, only MOV r1, #work names the CALLI target
+    src = PIPELINE_FIXTURES["calli-indexed"].replace("        CALL work\n", "")
+    res = assemble(src, entry=SMALL_LAYOUT.tcb_min)
+    assert "CALL work" not in src
+    ar = (res.symbols["main"], res.symbols["fin"])
+    result = run_image(res.image, ar, SMALL_LAYOUT,
+                       key_bytes=hashlib.sha256(b"fx").digest())
+    assert result.outcome is Outcome.COMPLETED
+    assert all(" app=1 " in line for line in result.audit)

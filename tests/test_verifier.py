@@ -118,9 +118,11 @@ CALLI_PROGRAM = """
 start:  CALL main
         HALT
 main:   MOV r1, #work
-        CALLI r1            ; no direct CALL names work
+        ADD r1, #4          ; work+4: no CALL or MOV #imm names it
+        CALLI r1
         JMP fin
-work:   RET
+work:   NOP
+        RET
 fin:    NOP
 """
 
@@ -175,9 +177,20 @@ class TestSliceViolationTable:
         sym = res.symbols
         ar = (sym["main"], sym["fin"])
         cfg = build_cfg(render_pmem(res.image, LAY), ar)
-        entries = [(0x9000, sym["main"]), (sym["main"] + 4, sym["work"])]
+        entries = [(0x9000, sym["main"]), (sym["main"] + 8, sym["work"] + 4)]
         v = validate_slice(SliceKind.FIRST, entries, cfg, session(ar))
         assert v == Violation(1, "IndirectTarget")
+
+    def test_indirect_call_to_address_taken_entry(self):
+        # MOV r1, #work takes work's address, so a CALLI may go there even
+        # though no direct CALL does
+        res = assemble(CALLI_PROGRAM, entry=LAY.tcb_min)
+        sym = res.symbols
+        ar = (sym["main"], sym["fin"])
+        cfg = build_cfg(render_pmem(res.image, LAY), ar)
+        assert cfg.known_entries == {sym["main"], sym["work"]}
+        entries = [(0x9000, sym["main"]), (sym["main"] + 8, sym["work"])]
+        assert validate_slice(SliceKind.FIRST, entries, cfg, session(ar)) is None
 
 
 class TestSliceComposability:
