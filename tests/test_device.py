@@ -801,3 +801,36 @@ class TestVetoSkip:
                                           heal_action=HealAction.UPDATE))
         assert res.outcome is Outcome.COMPLETED
         assert counts["skipped"] > 0 and counts["checked"] > 0
+
+
+class TestAttackSchedule:
+    """Attacks apply in cycle order, and attacks due at the same cycle in
+    the order given; the schedule is read, never consumed."""
+
+    DMA = AttackEvent(at_cycle=140_000, kind="dma", addr=LAY.metadata_base,
+                      count=1, value=1)
+    IRQ = AttackEvent(at_cycle=140_000, kind="force-irq", line=3)
+
+    @staticmethod
+    def run(events):
+        result, _ = run_src(FIXTURES["few_branch"].source, events=events,
+                            channel_policy=ChannelPolicy(latency=300_000))
+        return result
+
+    @pytest.mark.parametrize("attacks, last", [
+        ([DMA, IRQ], ResetReason.IRQ_IN_TCB),
+        ([IRQ, DMA], ResetReason.DMA_METADATA),
+    ])
+    def test_same_cycle_attacks_apply_in_given_order(self, attacks, last):
+        assert self.run(DeviceEvents(attacks=attacks)).device.last_reset is last
+
+    def test_unsorted_schedule_applies_the_earliest_first(self):
+        late_irq = AttackEvent(at_cycle=150_000, kind="force-irq", line=3)
+        result = self.run(DeviceEvents(attacks=[late_irq, self.DMA]))
+        assert result.device.last_reset is ResetReason.IRQ_IN_TCB
+
+    def test_one_schedule_runs_twice_alike(self):
+        events = DeviceEvents(attacks=[self.IRQ, self.DMA])
+        first, second = self.run(events), self.run(events)
+        assert first.audit == second.audit
+        assert second.device.last_reset is ResetReason.DMA_METADATA

@@ -401,3 +401,69 @@ class TestSliceEdgeRules:
         ]
         v = validate_slice(SliceKind.FIRST, entries, cfg, session(ar))
         assert v is not None and v.index == 3
+
+
+IRQ_PROGRAM = """
+        .org 0x9000
+main:   NOP
+        JZ skip
+skip:   NOP
+spin:   NOP
+        JMP spin
+after:  NOP
+fin:    NOP
+        HALT
+isr:    RETI
+"""
+
+
+class TestInterruptAcceptance:
+    """Acceptances whose resume point the walk has to work out from the
+    transfers before them, with ``ar = (main, fin)`` and IVT target ``isr``."""
+
+    @pytest.fixture(scope="class")
+    def irq(self):
+        res = assemble(IRQ_PROGRAM, entry=LAY.tcb_min)
+        sym = res.symbols
+        ar = (sym["main"], sym["fin"])
+        cfg = build_cfg(render_pmem(res.image, LAY), ar, (sym["isr"],))
+        return sym, ar, cfg
+
+    @staticmethod
+    def snapshot(s):
+        return (list(s.shadow), s.cursor, s.pending_resume, s.last_src)
+
+    def test_acceptance_after_taken_jump_resumes_at_its_target(self, irq):
+        sym, ar, cfg = irq
+        s = session(ar)
+        jmp = sym["spin"] + 4
+        entries = [(LAY.tcb_max, sym["main"]), (jmp, sym["spin"]), (jmp, LAY.tcb_min)]
+        assert validate_slice(SliceKind.FIRST, entries, cfg, s) is None
+        assert s.pending_resume == {sym["spin"]}
+
+    @pytest.mark.parametrize("kind, pending, entries", [
+        # the jump at spin+4 is attributed the acceptance, but it was not the
+        # previous transfer, so execution cannot have resumed past it
+        pytest.param(SliceKind.FIRST, None,
+                     [(LAY.tcb_max, "main"), ("jmp", LAY.tcb_min)],
+                     id="jump-not-retired"),
+        # after lies past the jump at spin+4: straight-line flow from main
+        # cannot reach it
+        pytest.param(SliceKind.FIRST, None,
+                     [(LAY.tcb_max, "main"), ("after", LAY.tcb_min)],
+                     id="source-unreachable"),
+        # the handler would return past fin, outside the region
+        pytest.param(SliceKind.INTERMEDIATE, {"after"},
+                     [(LAY.tcb_max, "after"), ("fin", "isr")],
+                     id="handler-resumes-outside"),
+    ])
+    def test_inconsistent_acceptance_is_broken_flow(self, irq, kind, pending, entries):
+        sym, ar, cfg = irq
+        sym = dict(sym, jmp=sym["spin"] + 4)
+        s = session(ar)
+        if pending is not None:
+            s.pending_resume = frozenset(sym[p] for p in pending)
+        before = self.snapshot(s)
+        v = validate_slice(kind, _resolve(entries, sym), cfg, s)
+        assert v == Violation(1, "BrokenFlow")
+        assert self.snapshot(s) == before
