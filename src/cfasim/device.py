@@ -80,10 +80,7 @@ class AttackEvent:
 @dataclass
 class DeviceEvents:
     irq_at_retire: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    attacks: list[AttackEvent] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.attacks = sorted(self.attacks, key=lambda a: a.at_cycle)
+    attacks: list[AttackEvent] = field(default_factory=list)   # in any order
 
 
 @dataclass
@@ -130,9 +127,12 @@ class Device:
 
         self._pending_session: TriggerKind | None = TriggerKind.BOOT
         self._resume_ctx: tuple[int, bool, bool] = (layout.s_base, False, False)
-        self._nmi_kind: TriggerKind | None = None
-        self._nmi_raised_cycle: int | None = None
-        self._attack_idx = 0
+        # the trigger raised on the NMI line and not yet accepted, with the
+        # cycle it was raised at
+        self._raised: tuple[TriggerKind, int] | None = None
+        # attacks not yet applied, the next one last; attacks due at the same
+        # cycle apply in their given order
+        self._attacks = sorted(self.events.attacks, key=lambda a: a.at_cycle)[::-1]
         self._report_frame: bytes | None = None
         self.wait_started = 0   # cycle the current wait began
         self._last_tx = 0
@@ -149,8 +149,8 @@ class Device:
 
     @property
     def running(self) -> bool:
-        return self.mode is _RUN or self.mode is _WAIT \
-            or self._pending_session is not None
+        # a pending trusted-software session always runs in RUN
+        return self.mode is _RUN or self.mode is _WAIT
 
     def tick(self, channel: Channel, until: int | None = None) -> None:
         """Advance the device: a pending trusted-software session, one wait
@@ -214,7 +214,7 @@ class Device:
 
     def _run_cycle(self) -> None:
         st = self.state
-        if self._attack_idx < len(self.events.attacks):
+        if self._attacks:
             self._apply_due_attacks()
             if self.mode is not _RUN or self._pending_session is not None:
                 return
@@ -223,8 +223,8 @@ class Device:
         if line is not None and line != NMI_LINE and st.halted:
             line = None     # only a trigger (non-maskable) wakes a halted core
         if line is None:
-            if NMI_LINE in st.pending_irq and self._nmi_raised_cycle is not None \
-                    and st.cycle - self._nmi_raised_cycle > NMI_ACCEPT_BOUND:
+            if NMI_LINE in st.pending_irq and self._raised is not None \
+                    and st.cycle - self._raised[1] > NMI_ACCEPT_BOUND:
                 # watchdog: a trigger that failed to vector within its bound
                 self._reset(ResetReason.TRIGGER_SUPPRESSED)
                 return
@@ -254,7 +254,8 @@ class Device:
             apply_acceptance(st, line)
         self.stats.app_cycles += 1
         if line == NMI_LINE:
-            self._enter_tcb(self._nmi_kind or TriggerKind.BOOT, resume_ctx)
+            self._enter_tcb(self._raised[0] if self._raised else TriggerKind.BOOT,
+                            resume_ctx)
             return
         if ev.trigger is not None:
             self._raise_trigger(ev.trigger)
@@ -263,10 +264,9 @@ class Device:
                 raise_irq(st, irq_line)
 
     def _raise_trigger(self, kind: TriggerKind) -> None:
-        if self._nmi_kind is not None or NMI_LINE in self.state.pending_irq:
+        if self._raised is not None or NMI_LINE in self.state.pending_irq:
             return
-        self._nmi_kind = kind
-        self._nmi_raised_cycle = self.state.cycle
+        self._raised = (kind, self.state.cycle)
         # eligible on the very next cycle: the asserting instruction was the
         # in-flight one
         self.state.pending_irq[NMI_LINE] = self.state.retired - 1
@@ -276,8 +276,7 @@ class Device:
         self.rot.mode = _TCB
         self._pending_session = kind
         self._resume_ctx = resume_ctx
-        self._nmi_kind = None
-        self._nmi_raised_cycle = None
+        self._raised = None
         self.retired_at_last_trigger = self.state.retired
 
     def _reset(self, reason: ResetReason | None) -> None:
@@ -298,10 +297,9 @@ class Device:
     # ------------------------------------------------------------------
 
     def _apply_due_attacks(self) -> None:
-        while self._attack_idx < len(self.events.attacks) and \
-                self.events.attacks[self._attack_idx].at_cycle <= self.state.cycle:
-            ev = self.events.attacks[self._attack_idx]
-            self._attack_idx += 1
+        attacks = self._attacks
+        while attacks and attacks[-1].at_cycle <= self.state.cycle:
+            ev = attacks.pop()
             st = self.state
             pc = st.pc      # tcb_min whenever the trusted software runs
             if ev.kind == "dma":
@@ -356,9 +354,7 @@ class Device:
         ``until``.  Each skipped poll is charged to ``state.cycle`` and
         ``wait_cycles`` as an executed idle poll is, so every simulated
         cycle stays where one executed poll per 50 cycles put it."""
-        attacks = self.events.attacks
-        attack = attacks[self._attack_idx].at_cycle \
-            if self._attack_idx < len(attacks) else None
+        attack = self._attacks[-1].at_cycle if self._attacks else None
         first = self._last_tx + RETRANSMIT_EVERY
         for t in (channel.next_due(PROVER), channel.next_due(VERIFIER), until,
                   self._timeout_at(), attack):
@@ -377,7 +373,7 @@ class Device:
         st = self.state
         st.cycle += WAIT_POLL_CYCLES
         self.stats.wait_cycles += WAIT_POLL_CYCLES
-        if self._attack_idx < len(self.events.attacks):
+        if self._attacks:
             self._apply_due_attacks()
             if self.mode is not _WAIT:
                 return

@@ -80,8 +80,13 @@ class MemoryLayout:
     input_size = 0x80
 
     def __post_init__(self):
+        if self.pmem_end > MASK16 + 1:
+            raise LayoutError("PMEM past the 16-bit address space")
         if not (self.tcb_min <= self.tcb_max < self.pmem_end):
             raise LayoutError("TCB outside PMEM")
+        if (self.tcb_max - self.tcb_min) % INSTR_SIZE:
+            # s_base, where every boot resumes, would fall mid-instruction
+            raise LayoutError("TCB end off the instruction grid")
         if self.cflog_base + self.cflog_size > self.dmem_end:
             raise LayoutError("cflog region outside DMEM")
         if self.cflog_size % SLOT.size:

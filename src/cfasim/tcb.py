@@ -6,8 +6,9 @@ simulated cycle costs per phase instead of executing real instructions; its
 *observable* behavior (memory writes, wire messages, phase ordering) is what
 the surrounding hardware model protects and what the tests pin down.
 
-The device key lives only inside this module's closures; no operation returns
-it and it is never written to simulated memory or the wire.
+The device key lives only in ``DeviceKey._k`` and in the ``wire.PmemMac`` that
+key carries; no operation returns it and it is never written to simulated
+memory or the wire.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ approval decisions, and response generation.
 
 Slice validation walks the logged (source, destination) pairs while tracking
 a cursor (the address execution is expected to reach next by straight-line
-flow), a shadow stack of expected return addresses, and the resume point
-announced by a trusted-software entry.  Loop-counter entries are told apart
-from transfers by the positional rule of :func:`cfasim.wire.decode_log`.
+flow, or ``EXTERNAL`` outside the region), a shadow stack whose every entry
+holds the candidate return addresses of one call or interrupt, and the
+candidate resume points announced by a trusted-software entry.  Loop-counter
+entries are told apart from transfers by the positional rule of
+:func:`cfasim.wire.decode_log`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .monitor import Metadata, TriggerKind
 from .wire import (CfaResponse, PmemMac, WireError, decode_log, decode_report,
                    encode_response, frame_covered, response_auth)
 
-EXTERNAL = "<external>"   # cursor value while execution is outside the region
+EXTERNAL = -1   # cursor value while execution is outside the region: no address
 
 MASK16 = 0xFFFF
 
@@ -104,9 +106,9 @@ class VerifySession:
     issued_chal: int = 0
     confirmed_chal: int = 0
     issued_ar: tuple[int, int] = (0, 0)
-    shadow: list = field(default_factory=list)    # ints, or candidate tuples
-    cursor: int | str | None = None
-    pending_resume: frozenset | None = None       # candidate resume points
+    shadow: list[tuple[int, ...]] = field(default_factory=list)  # candidate returns
+    cursor: int | None = None
+    pending_resume: frozenset[int] = frozenset()  # candidate resume points
     fresh: bool = True      # the next slice starts a run (FIRST or SINGLE)
     last_src: int | None = None     # src of the previous transfer, for irq attribution
 
@@ -114,7 +116,7 @@ class VerifySession:
         """The device (re)starts executing from scratch."""
         self.shadow.clear()
         self.cursor = None
-        self.pending_resume = None
+        self.pending_resume = frozenset()
         self.last_src = None
         self.fresh = True
 
@@ -143,14 +145,13 @@ class _Walker:
 
     # -- helpers --
 
-    def _loc(self, addr: int) -> int | str:
+    def _loc(self, addr: int) -> int:
         return addr if self.cfg.in_region(addr) else EXTERNAL
 
-    def _reachable(self, start, target: int) -> bool:
+    def _reachable(self, start: int | None, target: int) -> bool:
         """Straight-line flow from ``start`` to ``target``: conditionals may
-        be crossed (not taken), unconditional transfers may not."""
-        if not isinstance(start, int):
-            return False
+        be crossed (not taken), unconditional transfers may not.  A cursor
+        outside the region (``EXTERNAL``) or nowhere (None) reaches nothing."""
         addr = start
         while addr != target:
             ins = self.cfg.instrs.get(addr)
@@ -162,59 +163,52 @@ class _Walker:
     def _enter_external(self, i: int, s: int, d: int) -> Violation | None:
         """Transfer from unaudited code into the region: a return to the
         shadow-tracked address, a call to a known entry, or a handler entry."""
-        top = self.shadow[-1] if self.shadow else None
-        if top is not None and (d == top if isinstance(top, int) else d in top):
+        if self.shadow and d in self.shadow[-1]:
             self.shadow.pop()
         elif d in self.cfg.known_entries or d in self.cfg.isr_targets:
-            self.shadow.append((s + INSTR_SIZE) & MASK16)
+            self.shadow.append(((s + INSTR_SIZE) & MASK16,))
         else:
             return Violation(i, "UnknownEdge")
         self.cursor = d
         return None
 
-    def _accept_interrupt(self, i: int, d: int, resumes) -> Violation | None:
-        """Jump into the trusted software (``d == tcb_min``) or, otherwise,
-        into the handler entry ``d``.  ``resumes`` holds every resume point
-        consistent with the log so far (an acceptance directly after a taken
-        conditional is indistinguishable from one after the next not-taken
-        pass; the eventual return or the next slice start disambiguates)."""
-        cands = frozenset(self._loc(r) if isinstance(r, int) else r
-                          for r in resumes)
+    def _accept_interrupt(self, i: int, s: int, d: int) -> Violation | None:
+        """An interrupt acceptance attributed to source ``s`` (the last
+        retired instruction): a jump into the trusted software (``d ==
+        tcb_min``) or into the handler entry ``d``.  Every resume point
+        consistent with the log so far is a candidate (an acceptance directly
+        after a taken conditional is indistinguishable from one after the
+        next not-taken pass; the eventual return or the next slice start
+        disambiguates)."""
+        cursor, again = self.cursor, s == self.last_src
+        past = (s + INSTR_SIZE) & MASK16
+        op = self.cfg.instrs[s].op if self._reachable(cursor, s) else None
+        if op is None or op in NO_FALLTHROUGH_OPS:
+            # only if the previous logged transfer, from ``s``, retired and
+            # the interrupt landed on the very next cycle: execution stood at
+            # its destination
+            resumes = (cursor,) if again else ()
+        elif op is JZ or op is JNZ:
+            # a not-taken pass resumes past the conditional; if the previous
+            # transfer was this same conditional taken, resuming at its
+            # target is equally consistent
+            resumes = (past, cursor) if again else (past,)
+        else:
+            resumes = (past,)
+        if not resumes:
+            return Violation(i, "BrokenFlow")
+        cands = frozenset(map(self._loc, resumes))
         if d == self.lay.tcb_min:
             self.pending = cands
             self.cursor = None
             self.entered_tcb = True
             return None
-        ints = tuple(sorted(r for r in cands if isinstance(r, int)))
-        if not ints:
+        returns = tuple(sorted(cands - {EXTERNAL}))
+        if not returns:
             return Violation(i, "BrokenFlow")
-        self.shadow.append(ints[0] if len(ints) == 1 else ints)
+        self.shadow.append(returns)
         self.cursor = self._loc(d)
         return None
-
-    def _resume_candidates(self, i: int, s: int) -> list | Violation:
-        """Possible interruption points for an acceptance whose attributed
-        source is ``s`` (the last retired instruction)."""
-        if s == self.last_src and not self._reachable(self.cursor, s):
-            # the previous logged transfer retired and the interrupt landed
-            # on the very next cycle: execution stood at its destination
-            return [self.cursor]
-        if not self._reachable(self.cursor, s):
-            return Violation(i, "BrokenFlow")
-        ins = self.cfg.instrs[s]
-        if ins.op is JZ or ins.op is JNZ:
-            # a not-taken pass resumes past the conditional; if the previous
-            # transfer was this same conditional taken, resuming at its
-            # target is equally consistent
-            cands = [(s + INSTR_SIZE) & MASK16]
-            if s == self.last_src:
-                cands.append(self.cursor)
-            return cands
-        if ins.op in NO_FALLTHROUGH_OPS:
-            if s == self.last_src:
-                return [self.cursor]   # retired and transferred, then the irq
-            return Violation(i, "BrokenFlow")
-        return [(s + INSTR_SIZE) & MASK16]
 
     # -- entry processing --
 
@@ -226,8 +220,8 @@ class _Walker:
                 return Violation(0, "BadRegionEntry")
             if s != lay.tcb_max:
                 # function call into the region; remember where it returns
-                self.shadow.append((s + INSTR_SIZE) & MASK16)
-            self.pending = None
+                self.shadow.append(((s + INSTR_SIZE) & MASK16,))
+            self.pending = frozenset()
             self.cursor = d
             return None
         # intermediate/last: normally the trusted-software exit jump back to
@@ -236,14 +230,13 @@ class _Walker:
         if s == lay.tcb_max:
             if not self.cfg.in_region(d):
                 return Violation(0, "BadSliceStart")
-            if not (isinstance(self.pending, frozenset) and d in self.pending):
+            if d not in self.pending:
                 return Violation(0, "ResumeMismatch")
-            self.pending = None
+            self.pending = frozenset()
             self.cursor = d
             return None
-        if self.cursor == EXTERNAL or (isinstance(self.pending, frozenset)
-                                       and EXTERNAL in self.pending):
-            self.pending = None
+        if self.cursor == EXTERNAL or EXTERNAL in self.pending:
+            self.pending = frozenset()
             return self._enter_external(0, s, d)
         return Violation(0, "BadSliceStart")
 
@@ -271,10 +264,7 @@ class _Walker:
             ins = cfg.instrs.get(s)
             if not (ins is not None and ins.op in (JMP, JZ, JNZ, CALL)
                     and d == ins.imm and self._reachable(self.cursor, s)):
-                cands = self._resume_candidates(i, s)
-                if isinstance(cands, Violation):
-                    return cands
-                return self._accept_interrupt(i, d, cands)
+                return self._accept_interrupt(i, s, d)
 
         if not self._reachable(self.cursor, s):
             return Violation(i, "BrokenFlow")
@@ -287,17 +277,15 @@ class _Walker:
         elif op is CALL:
             if d != ins.imm:
                 return Violation(i, "BadCallTarget")
-            self.shadow.append((s + INSTR_SIZE) & MASK16)
+            self.shadow.append(((s + INSTR_SIZE) & MASK16,))
         elif op is CALLI:
             if d not in cfg.known_entries:
                 return Violation(i, "IndirectTarget")
-            self.shadow.append((s + INSTR_SIZE) & MASK16)
+            self.shadow.append(((s + INSTR_SIZE) & MASK16,))
         elif op is RET or op is RETI:
             if not self.shadow:
                 return Violation(i, "ShadowUnderflow")
-            expect = self.shadow.pop()
-            ok = d == expect if isinstance(expect, int) else d in expect
-            if not ok:
+            if d not in self.shadow.pop():
                 return Violation(i, "ReturnMismatch")
         else:
             return Violation(i, "UnknownEdge")

@@ -57,10 +57,10 @@ class PmemMac:
 
     Reports share their PMEM prefix, so the state that has absorbed
     key || pmem is primed once and copied for each report.  It is keyed on
-    the PMEM bytes themselves: an immutable ``bytes`` PMEM by identity, a
-    mutable one by a comparison, so a PMEM write (a heal's patch, the
-    verifier's switch to the patched image) can never leave a stale prefix
-    behind."""
+    the PMEM bytes themselves, compared by content, so a PMEM write (a
+    heal's patch, the verifier's switch to the patched image) can never
+    leave a stale prefix behind.  The comparison costs O(1) for the ``bytes``
+    object it primed from (``bytes(b) is b``, and an object equals itself)."""
 
     __slots__ = ("_key", "_pmem", "_primed")
 
@@ -71,7 +71,7 @@ class PmemMac:
 
     def digest(self, pmem: bytes | bytearray, covered: bytes) -> bytes:
         """HMAC-SHA-256(key, pmem || covered)."""
-        if pmem is not self._pmem and (type(pmem) is bytes or pmem != self._pmem):
+        if pmem != self._pmem:
             self._pmem = bytes(pmem)
             self._primed = _hmac.new(self._key, self._pmem, hashlib.sha256)
         h = self._primed.copy()

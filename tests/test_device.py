@@ -582,9 +582,8 @@ class TestTriggerSuppression:
         dev.mode = device_mod.DeviceMode.RUN
         dev._pending_session = None
         dev.state.pc = built.symbols["main"]
-        dev._nmi_kind = None
         dev.state.pending_irq[NMI_LINE] = dev.state.retired - 1
-        dev._nmi_raised_cycle = dev.state.cycle
+        dev._raised = (TriggerKind.BOOT, dev.state.cycle)
         monkeypatch.setattr(device_mod, "acceptable_line", lambda st: None)
         for _ in range(10):
             dev._run_cycle()

@@ -63,6 +63,24 @@ class TestLayout:
         with pytest.raises(LayoutError):
             MemoryLayout(cflog_size=130)
 
+    def test_tcb_end_off_instruction_grid_rejected(self):
+        # s_base would be 0x9002: every boot would resume mid-instruction
+        with pytest.raises(LayoutError, match="instruction grid"):
+            MemoryLayout(tcb_max=0x8FFE)
+
+    def test_pmem_past_address_space_rejected(self):
+        # pmem_end would be 0x11000, past what a 16-bit address can name
+        with pytest.raises(LayoutError, match="16-bit"):
+            MemoryLayout(pmem_size=0x9000)
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"pmem_size": 0x2000}, {"tcb_max": 0x87FC},
+        {"pmem_size": 0x400, "tcb_max": 0x80FC},
+    ])
+    def test_usable_layouts_accepted(self, kw):
+        lay = MemoryLayout(**kw)
+        assert lay.pmem_end <= 0x10000 and lay.s_base % 4 == 0
+
 
 class TestLoadImage:
     def test_minimal_image_boots_into_tcb(self):
