@@ -73,14 +73,6 @@ class TestLayout:
         with pytest.raises(LayoutError, match="16-bit"):
             MemoryLayout(pmem_size=0x9000)
 
-    @pytest.mark.parametrize("kw", [
-        {}, {"pmem_size": 0x2000}, {"tcb_max": 0x87FC},
-        {"pmem_size": 0x400, "tcb_max": 0x80FC},
-    ])
-    def test_usable_layouts_accepted(self, kw):
-        lay = MemoryLayout(**kw)
-        assert lay.pmem_end <= 0x10000 and lay.s_base % 4 == 0
-
 
 class TestLoadImage:
     def test_minimal_image_boots_into_tcb(self):

@@ -442,8 +442,8 @@ class TestInterruptAcceptance:
         assert s.pending_resume == {sym["spin"]}
 
     @pytest.mark.parametrize("kind, pending, entries", [
-        # the jump at spin+4 is attributed the acceptance, but it was not the
-        # previous transfer, so execution cannot have resumed past it
+        # a JMP has no fall-through: an acceptance attributed to the one at
+        # spin+4 must follow its own logged transfer, and none was logged
         pytest.param(SliceKind.FIRST, None,
                      [(LAY.tcb_max, "main"), ("jmp", LAY.tcb_min)],
                      id="jump-not-retired"),
