@@ -16,7 +16,7 @@ from .apps import FIXTURES
 from .asm import assemble, disassemble_image
 from .channel import ChannelPolicy
 from .mcu import ImageError, LayoutError, ProgramImage
-from .scenario import INPUT_KINDS, ScenarioConfig, StatsReport, run_scenario
+from .scenario import ScenarioConfig, StatsReport, run_scenario
 from .tcb import HealAction, PolicyMode, WaitPolicy
 
 
@@ -86,7 +86,7 @@ def cmd_run(args) -> int:
     for key in _SCENARIO_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = str(flag)
+            values[key] = flag
     result = run_scenario(build_scenario_config(values))
     print(StatsReport.TABLE_HEADER)
     print(result.stats.table_row())
@@ -137,13 +137,9 @@ def main(argv: list[str] | None = None) -> int:
 
     run_p = sub.add_parser("run", help="run a built-in scenario or a config file")
     run_p.add_argument("scenario", help="fixture name or key=value config path")
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--log-size", dest="log_size", type=int)
-    run_p.add_argument("--timer", type=int)
-    run_p.add_argument("--policy")
-    run_p.add_argument("--heal", choices=[a.value for a in HealAction])
-    run_p.add_argument("--input", choices=INPUT_KINDS)
-    run_p.add_argument("--budget", type=int)
+    for key in _SCENARIO_KEYS:
+        if key != "app":    # a flag's text goes to the key's parser, as a line's does
+            run_p.add_argument("--" + key.replace("_", "-"))
     run_p.add_argument("--audit", action="store_true", help="print the audit log")
     run_p.add_argument("--trace-frames", metavar="FILE",
                        help="write a hex trace of all frames to FILE")

@@ -40,13 +40,13 @@ from .mcu import (LOG_OFF, MD_AR_MIN, MD_CF_SIZE, MD_OFF, METADATA, SLOT, TIMER,
                   FaultError, ImageError, MemoryLayout, NMI_LINE, ProgramImage,
                   SignalBus, acceptable_line, apply_acceptance, apply_instr,
                   _fetch, load_image, predict_acceptance, predict_bus, raise_irq)
-from .monitor import (CfaMonitor, Metadata, MonitorEvent, ResetReason,
-                      TriggerKind, boundary_check, timer_write_check)
+from .monitor import (CfaMonitor, MonitorEvent, ResetReason, TriggerKind,
+                      boundary_check, timer_write_check)
 from .rot import Mode, NMI_ACCEPT_BOUND, RotState, on_reset, rot_check
 from .tcb import (AUTH_CYCLES, HEAL_CYCLES, RETRANSMIT_EVERY, WAIT_POLL_CYCLES,
                   DeviceKey, HealAction, PolicyMode, WaitPolicy,
                   authenticate_response, tcb_att)
-from .wire import CfaReport, WireError, decode_response, report_frame
+from .wire import WireError, decode_response, report_frame
 
 TCB_EXIT_CYCLES = 8
 TICK_BURST = 64         # application cycles per tick
@@ -108,7 +108,8 @@ class Device:
                  events: DeviceEvents | None = None,
                  keep_trace: bool = False):
         if update_image is not None and not layout.fits_app_region(update_image):
-            raise ImageError("update image outside the application region")
+            raise ImageError(f"update image outside the application region "
+                             f"[{layout.s_base:#06x}, {layout.pmem_end:#06x})")
         self.layout = layout
         self.key = key
         self.policy = policy or WaitPolicy()
@@ -122,7 +123,8 @@ class Device:
         self.stats = DeviceStats()
         self.mode = DeviceMode.RUN
         self.trace: list[SignalBus] | None = [] if keep_trace else None
-        self.reports: list[CfaReport] = []
+        # each report's frame: the one record of it, sent and resent as is
+        self.reports: list[bytes] = []
         self.last_reset: ResetReason | None = None
 
         self._pending_session: TriggerKind | None = TriggerKind.BOOT
@@ -133,7 +135,6 @@ class Device:
         # attacks not yet applied, the next one last; attacks due at the same
         # cycle apply in their given order
         self._attacks = sorted(self.events.attacks, key=lambda a: a.at_cycle)[::-1]
-        self._report_frame: bytes | None = None
         self.wait_started = 0   # cycle the current wait began
         self._last_tx = 0
         self.retired_at_last_trigger = 0
@@ -332,16 +333,13 @@ class Device:
         self._pending_session = None
         st = self.state
         # the frame carries the metadata and log bytes as they lie in DMEM
-        md_raw = st.dmem[MD_OFF:MD_OFF + METADATA.size]
-        md = Metadata(*METADATA.unpack(md_raw))
-        log_raw = st.dmem[LOG_OFF:LOG_OFF + SLOT.size * md.cf_size]
-        entries = tuple(SLOT.iter_unpack(log_raw))
-        h, cost = tcb_att(self.key, st.pmem, md, entries)
+        md = st.dmem[MD_OFF:MD_OFF + METADATA.size]
+        log = st.dmem[LOG_OFF:LOG_OFF + SLOT.size * self.monitor.cf_size]
+        h, cost = tcb_att(self.key, st.pmem, md, tuple(SLOT.iter_unpack(log)))
         st.cycle += cost
         self.stats.att_cycles += cost
-        self.reports.append(CfaReport(h, md, kind, entries))
-        self._report_frame = report_frame(h, md_raw, kind, log_raw)
-        channel.send(VERIFIER, self._report_frame, st.cycle)
+        self.reports.append(report_frame(h, md, kind, log))
+        channel.send(VERIFIER, self.reports[-1], st.cycle)
         self.mode = _WAIT
         self.wait_started = st.cycle
         self._last_tx = st.cycle
@@ -393,7 +391,7 @@ class Device:
             self.stats.n_rejected_responses += 1
 
         if st.cycle - self._last_tx >= RETRANSMIT_EVERY:
-            channel.send(VERIFIER, self._report_frame, st.cycle)
+            channel.send(VERIFIER, self.reports[-1], st.cycle)
             self.stats.n_retransmits += 1
             self._last_tx = st.cycle
         timeout = self._timeout_at()

@@ -31,8 +31,9 @@ class MachineError(Exception):
     pass
 
 
-class ImageError(MachineError):
-    """Image cannot be loaded (overlap, overflow, bad entry point)."""
+class ImageError(MachineError, ValueError):
+    """Image cannot be loaded (overlap, overflow, bad entry point): a bad
+    argument, so also a ``ValueError``."""
 
 
 class LayoutError(MachineError):
@@ -53,6 +54,12 @@ class FaultError(MachineError):
 METADATA = struct.Struct(">IHHH")   # chal | ar_min | ar_max | cf_size
 MD_AR_MIN, MD_CF_SIZE = 4, 8        # field offsets; ar_max follows ar_min
 SLOT = struct.Struct(">HH")         # log slot: src | dest, or a counter's halves
+# The flush trigger fires this many entries before the log is physically
+# full.  Two slots are always enough for everything that can still land
+# between the flush assertion and the trusted-software entry (one possible
+# loop-counter commit plus the acceptance jump itself), so no transfer in
+# the attested region is ever dropped.
+FLUSH_RESERVE = 2
 TIMER = struct.Struct("<I")         # timer reload
 
 
@@ -91,6 +98,10 @@ class MemoryLayout:
             raise LayoutError("cflog region outside DMEM")
         if self.cflog_size % SLOT.size:
             raise LayoutError(f"cflog size must be a multiple of {SLOT.size}")
+        if self.cflog_size < SLOT.size * (FLUSH_RESERVE + 1):
+            # the flush would fire with no slot below its reserve
+            raise LayoutError(f"cflog size must be at least "
+                              f"{SLOT.size * (FLUSH_RESERVE + 1)} bytes")
 
     @property
     def pmem_end(self) -> int:

@@ -15,7 +15,11 @@ Five cooperating sub-monitors are evaluated against every bus record:
                       - 1`` so ``wire.decode_log`` still tells it from a
                       transfer; a further repeat commits it as a new pair
 * logger            - appends (source, destination) pairs to the protected
-                      log region in data memory
+                      log region in data memory: each transfer with an end
+                      in the attested region, and each trigger (NMI-line)
+                      acceptance whose interrupted address lies in it, so a
+                      trigger accepted right after a call into the region
+                      still tells the verifier where execution resumes
 
 Every record takes one path through ``CfaMonitor.observe``, which reads and
 writes the protected records at their fixed DMEM offsets (``mcu.MD_OFF``,
@@ -33,15 +37,8 @@ import struct
 from dataclasses import dataclass
 
 from .isa import INSTR_SIZE, BRANCH_OPS, JNZ, JZ
-from .mcu import (LOG_OFF, MD_CF_SIZE, MD_OFF, METADATA, SLOT, TIMER, TIMER_OFF,
-                  MemoryLayout, SignalBus)
-
-# The flush trigger fires this many entries before the log is physically
-# full.  Two slots are always enough for everything that can still land
-# between the flush assertion and the trusted-software entry (one possible
-# loop-counter commit plus the acceptance jump itself), so no transfer in
-# the attested region is ever dropped.
-FLUSH_RESERVE = 2
+from .mcu import (FLUSH_RESERVE, LOG_OFF, MD_CF_SIZE, MD_OFF, METADATA, NMI_LINE,
+                  SLOT, TIMER, TIMER_OFF, MemoryLayout, SignalBus)
 
 
 class ResetReason(enum.Enum):
@@ -261,7 +258,9 @@ class CfaMonitor:
                       cf_size: int) -> tuple[tuple[int, int] | None, int]:
         """Log the transfer on a branch record: the entry appended, if any,
         and the fill level after the record.  The source of an interrupt
-        acceptance is the last retired instruction."""
+        acceptance is the last retired instruction; a trigger's acceptance
+        is also logged when only its interrupted ``bus.pc`` is in the region
+        (a maskable one only when its source or destination is)."""
         src = bus.pc if bus.inst is not None else bus.pc_prev
         dest = bus.pc_next
         loop = self.loop
@@ -277,7 +276,8 @@ class CfaMonitor:
             return None, cf_size
 
         if cf_size >= self._max_entries \
-                or not (ar_min <= src <= ar_max or ar_min <= dest <= ar_max):
+                or not (ar_min <= src <= ar_max or ar_min <= dest <= ar_max
+                        or bus.irq_line == NMI_LINE and ar_min <= bus.pc <= ar_max):
             return None, cf_size
         entry = None
         if loop.ctr > 1:

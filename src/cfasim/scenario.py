@@ -14,11 +14,11 @@ from .asm import assemble
 from .channel import Channel, ChannelPolicy, PROVER, VERIFIER
 from .device import Device, DeviceEvents, DeviceMode
 from .isa import INSTR_SIZE
-from .mcu import SLOT, MemoryLayout, ProgramImage, render_pmem
+from .mcu import MemoryLayout, ProgramImage, render_pmem
 from .monitor import TriggerKind
 from .tcb import RETRANSMIT_EVERY, DeviceKey, HealAction, WaitPolicy
 from .verifier import Verifier, VerifierConfig
-from .wire import CfaReport, decode_log
+from .wire import REPORT_FIXED, TRIGGER_AT, CfaReport, decode_log, decode_report
 
 DEFAULT_BUDGET = 3_000_000
 INPUT_KINDS = ("benign", "overflow", "none")
@@ -67,13 +67,13 @@ class StatsReport:
     @classmethod
     def collect(cls, app: str, log_size: int, outcome: Outcome,
                 device: Device) -> "StatsReport":
-        kinds = [r.trigger for r in device.reports]
+        kinds = [frame[TRIGGER_AT] for frame in device.reports]
         st = device.stats
         return cls(app, log_size, outcome, kinds.count(TriggerKind.TIMER),
                    kinds.count(TriggerKind.LOG_FULL),
                    kinds.count(TriggerKind.BOOT) + kinds.count(TriggerKind.REGION_END),
                    st.n_violation_resets, len(kinds),
-                   sum(SLOT.size * r.metadata.cf_size for r in device.reports),
+                   sum(len(frame) - REPORT_FIXED for frame in device.reports),
                    st.att_cycles, st.wait_cycles, st.heal_cycles, st.app_cycles,
                    device.cycle)
 
@@ -144,9 +144,6 @@ def run_image(image: ProgramImage, ar: tuple[int, int], layout: MemoryLayout,
                              f"a region of instruction addresses in the "
                              f"application region [{layout.s_base:#06x}, "
                              f"{layout.pmem_end:#06x})")
-    if update_image is not None and not layout.fits_app_region(update_image):
-        raise ValueError(f"update image outside the application region "
-                         f"[{layout.s_base:#06x}, {layout.pmem_end:#06x})")
     channel = Channel(channel_policy or ChannelPolicy())
     device = Device(image, layout, DeviceKey(key_bytes), policy=policy,
                     heal_action=heal_action, update_image=update_image,
@@ -154,13 +151,16 @@ def run_image(image: ProgramImage, ar: tuple[int, int], layout: MemoryLayout,
                     keep_trace=keep_trace)
     device.state.store(layout.input_base, input_bytes)
 
+    # a heal rewrites PMEM from s_base on and keeps the trusted region
+    boot_pmem = bytes(device.state.pmem)
+    s_off = layout.s_base - layout.pmem_base
     vconf = VerifierConfig(
         key=key_bytes,
-        expected_pmem=bytes(device.state.pmem),
+        expected_pmem=boot_pmem,
         layout=layout,
         target_ar=ar,
         ivt_targets=ivt_targets,
-        patched_pmem=(render_pmem(update_image, layout)
+        patched_pmem=(boot_pmem[:s_off] + render_pmem(update_image, layout)[s_off:]
                       if update_image is not None else None),
         patched_ar=patched_ar,
     )
@@ -186,7 +186,8 @@ def run_image(image: ProgramImage, ar: tuple[int, int], layout: MemoryLayout,
 
     stats = StatsReport.collect(app_name, layout.cflog_size, outcome, device)
     return ScenarioResult(stats, outcome, list(verifier.audit),
-                          list(device.reports), device, verifier, channel)
+                          [decode_report(f) for f in device.reports],
+                          device, verifier, channel)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:

@@ -18,9 +18,8 @@ import hmac
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .mcu import METADATA, SLOT
-from .monitor import Metadata
-from .wire import CfaResponse, PmemMac, mac_covered, response_auth
+from .mcu import SLOT
+from .wire import CfaResponse, PmemMac, pack_entries, response_auth
 
 # Cycle-cost model.  Attestation is dominated by MAC-ing program memory, so
 # its cost scales with the measured byte count; the rest are flat charges.
@@ -74,14 +73,14 @@ class DeviceKey:
         return "DeviceKey(<hidden>)"
 
 
-def tcb_att(key: DeviceKey, pmem: bytes | bytearray, md: Metadata,
+def tcb_att(key: DeviceKey, pmem: bytes | bytearray, md: bytes | bytearray,
             entries: Sequence[tuple[int, int]]) -> tuple[bytes, int]:
-    """Measurement phase: returns (digest, charged cycles).  The charged
-    cycles model the device's MAC over all of ``pmem``; the host re-hashes
-    PMEM only when its bytes changed."""
-    h = key._att.digest(pmem, mac_covered(md, entries))
+    """Measure ``pmem``, the metadata record ``md`` as stored and the log
+    ``entries``: returns (digest, charged cycles).  The cycles model the
+    device's MAC over all of ``pmem``; the host re-hashes it on a change."""
+    h = key._att.digest(pmem, md + pack_entries(entries))
     cost = ATT_BASE_CYCLES + ATT_CYCLES_PER_BYTE * (
-        len(pmem) + METADATA.size + SLOT.size * len(entries))
+        len(pmem) + len(md) + SLOT.size * len(entries))
     return h, cost
 
 

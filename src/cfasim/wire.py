@@ -79,22 +79,16 @@ class PmemMac:
         return h.digest()
 
 
-def mac_covered(md: Metadata, entries: Iterable[tuple[int, int]]) -> bytes:
-    """The bytes of a report that ``h`` covers after PMEM: metadata ||
-    entries."""
-    return md.pack() + pack_entries(entries)
-
-
 def frame_covered(frame: bytes) -> bytes:
-    """The same bytes, cut from a report frame: all but ``h`` and the
-    trigger byte."""
+    """The bytes of a report frame that ``h`` covers after PMEM, metadata ||
+    entries: all but ``h`` and the trigger byte."""
     return frame[MAC_LEN:TRIGGER_AT] + frame[REPORT_FIXED:]
 
 
 def attest_digest(key: bytes, pmem: bytes, md: Metadata,
                   entries: Iterable[tuple[int, int]]) -> bytes:
     """The report measurement as one call (see ``PmemMac``)."""
-    return PmemMac(key).digest(pmem, mac_covered(md, entries))
+    return PmemMac(key).digest(pmem, md.pack() + pack_entries(entries))
 
 
 def response_auth(key: bytes, chal: int, ar_min: int, ar_max: int, app: int) -> bytes:

@@ -55,7 +55,10 @@ seed = 3
     (["run", "few_branch", "--log-size", "130"], "cflog size must be a multiple of 4"),
     (["run", "few_branch", "--policy", "bogus"], "bad policy 'bogus'"),
     (["run", "{cfg}"], "unknown app 'nope' (fixtures: few_branch, moderate,"),
-], ids=["log-size", "policy", "app"])
+    (["run", "few_branch", "--log-size", "0"], "cflog size must be at least 12 bytes"),
+    (["run", "password", "--heal", "bogus"], "'bogus' is not a valid HealAction"),
+    (["run", "password", "--input", "bogus"], "unknown input kind 'bogus'"),
+], ids=["log-size", "policy", "app", "log-size-0", "heal", "input"])
 def test_run_config_error_is_one_line(tmp_path, capsys, args, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("app = nope\n")
@@ -64,6 +67,15 @@ def test_run_config_error_is_one_line(tmp_path, capsys, args, message):
     assert rc == 1
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+def test_run_flag_takes_the_config_key_syntax(capsys):
+    # a flag goes through its key's parser, so it reads 0x10 as a config
+    # line does
+    rc_hex, out_hex = run_cli(["run", "few_branch", "--seed", "0x10"], capsys)
+    rc_dec, out_dec = run_cli(["run", "few_branch", "--seed", "16"], capsys)
+    assert rc_hex == rc_dec == 0
+    assert out_hex == out_dec and "outcome=completed" in out_hex
 
 
 @pytest.mark.parametrize("text, message", [

@@ -499,6 +499,28 @@ done:   NOP
         assert len(want) > 10
         assert app_level(res.reports[boot:], lay) == want
 
+    def test_update_keeps_the_trusted_region(self):
+        """A heal rewrites PMEM from ``s_base`` on, so an image with bytes
+        in the trusted region keeps them, and the verifier's post-heal
+        expectation is the booted TCB plus the update image."""
+        from cfasim.apps import encode_input, overflow_input
+
+        fx = FIXTURES["password"]
+        built = assemble(".org 0x8010\n.word 0x1234\n" + fx.source, entry=LAY.tcb_min)
+        patched = assemble(fx.patched_source, entry=LAY.tcb_min)
+        res = run_image(built.image, (built.symbols["app_main"], built.symbols["done"]),
+                        LAY, key_bytes=_derive_key(3), heal_action=HealAction.UPDATE,
+                        update_image=patched.image,
+                        patched_ar=(patched.symbols["app_main"], patched.symbols["done"]),
+                        timer_deadline=1_000_000,
+                        input_bytes=encode_input(overflow_input(built.symbols)))
+        assert res.outcome is Outcome.COMPLETED
+        pmem = bytes(res.device.state.pmem)
+        assert pmem[0x10:0x12] == b"\x34\x12"
+        assert pmem == res.verifier.expected_pmem == res.verifier.config.patched_pmem
+        verdicts = [" app=1 " in line for line in res.audit]
+        assert verdicts.count(False) == 1 and verdicts[-1]
+
     def test_oversized_update_is_rejected(self):
         # an update image that reaches into the TCB cannot be healed onto
         # the device; a reboot in its place would leave the verifier

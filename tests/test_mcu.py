@@ -63,6 +63,13 @@ class TestLayout:
         with pytest.raises(LayoutError):
             MemoryLayout(cflog_size=130)
 
+    @pytest.mark.parametrize("size", [0, 4, 8])
+    def test_log_without_room_below_its_reserve_rejected(self, size):
+        # the flush fires FLUSH_RESERVE entries before the log is full: a
+        # log of fewer slots has none for the slice itself
+        with pytest.raises(LayoutError, match="at least 12 bytes"):
+            MemoryLayout(cflog_size=size)
+
     def test_tcb_end_off_instruction_grid_rejected(self):
         # s_base would be 0x9002: every boot would resume mid-instruction
         with pytest.raises(LayoutError, match="instruction grid"):

@@ -219,3 +219,107 @@ def test_instruction_region_ends_and_is_judged():
     assert [r.trigger for r in res.reports] == [TriggerKind.BOOT,
                                                  TriggerKind.REGION_END]
     assert res.audit[-1] == "seq=2 kind=single app=1 reason=ok entries=4"
+
+
+# One violation (a store into the log, skipped on the re-run), then log-full
+# flushes in the call loop and timer reports in the delay loop: a 24-byte
+# log and a 15-cycle timer give BOOT, VIOLATION, LOG_FULL, TIMER and
+# REGION_END reports.
+MIXED = """
+        .org 0x9000
+main:   MOV r0, &0x1000
+        CMP r0, #1
+        JZ work
+        MOV r1, #1
+        MOV &0x1000, r1
+        MOV &0x0200, r1
+fn:     RET
+work:   MOV r2, #4
+loop:   CALL fn
+        SUB r2, #1
+        JNZ loop
+        MOV r3, #40
+spin:   SUB r3, #1
+        JNZ spin
+fin:    NOP
+        HALT
+"""
+
+
+def _mixed_run():
+    lay = MemoryLayout(cflog_size=24)
+    built = assemble(MIXED, entry=lay.tcb_min)
+    return run_image(built.image, (built.symbols["main"], built.symbols["fin"]), lay,
+                     key_bytes=_derive_key(1), timer_deadline=15)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_scenario(ScenarioConfig(app="loop_heavy", max_cflog_bytes=16,
+                                        cycle_budget=10**9)),
+    _mixed_run,
+], ids=["loop_heavy-16", "mixed"])
+def test_device_keeps_each_report_as_the_frame_it_sends(run):
+    """``Device.reports`` holds each report as its frame: on a lossless run
+    the very objects the channel captured toward the verifier, and each is
+    the encoding of the report ``ScenarioResult.reports`` decodes from it."""
+    from cfasim.channel import VERIFIER
+    from cfasim.wire import encode_report
+
+    res = run()
+    assert res.outcome is Outcome.COMPLETED
+    frames = res.device.reports
+    sent = [frame for ep, frame in res.channel.captured if ep == VERIFIER]
+    assert len(sent) == len(frames) == len(res.reports)
+    assert all(s is f for s, f in zip(sent, frames))
+    assert all(encode_report(r) == f for r, f in zip(res.reports, frames))
+
+
+def test_retransmission_resends_the_kept_frame():
+    from cfasim.channel import VERIFIER, ChannelPolicy
+
+    res = run_scenario(ScenarioConfig(app="few_branch",
+                                      channel=ChannelPolicy(drop_first=1)))
+    assert res.outcome is Outcome.COMPLETED
+    # the first frame each way is dropped: the boot report goes out three times
+    n = res.device.stats.n_retransmits
+    assert n == 2
+    sent = [frame for ep, frame in res.channel.captured if ep == VERIFIER]
+    frames = res.device.reports
+    assert len(sent) == len(frames) + n
+    assert all(s is frames[0] for s in sent[:n + 1])
+    assert all(s is f for s, f in zip(sent[n + 1:], frames[1:]))
+
+
+def test_statistics_count_the_reports_of_every_kind():
+    from cfasim.mcu import SLOT
+
+    res = _mixed_run()
+    assert res.outcome is Outcome.COMPLETED
+    kinds = [r.trigger for r in res.reports]
+    assert set(TriggerKind) <= set(kinds)
+    st = res.stats
+    assert (st.n_t1, st.n_t2, st.n_t3, st.n_reports) == (
+        kinds.count(TriggerKind.TIMER), kinds.count(TriggerKind.LOG_FULL),
+        kinds.count(TriggerKind.BOOT) + kinds.count(TriggerKind.REGION_END),
+        len(kinds))
+    assert st.n_violation_resets == kinds.count(TriggerKind.VIOLATION) == 1
+    assert st.cflog_bytes_total == sum(SLOT.size * len(r.entries) for r in res.reports)
+    assert st.n_reports == st.trigger_total
+
+
+@pytest.mark.parametrize("timer", range(1, 9))
+def test_trigger_at_the_first_region_instruction_resumes_there(timer):
+    """A short timer can be accepted right after ``CALL app_main``, before
+    the region's first instruction retires; the acceptance is logged, so
+    the verifier resumes the run at ``app_main`` and approves it."""
+    res = run_scenario(ScenarioConfig(app="password", timer_deadline_cycles=timer,
+                                      cycle_budget=20_000_000))
+    assert res.outcome is Outcome.COMPLETED
+    assert all(" app=1 " in line for line in res.audit)
+
+
+@pytest.mark.parametrize("app", ["few_branch", "password"])
+def test_smallest_log_completes(app):
+    res = run_scenario(ScenarioConfig(app=app, max_cflog_bytes=12, cycle_budget=10**9))
+    assert res.outcome is Outcome.COMPLETED
+    assert all(" app=1 " in line for line in res.audit)

@@ -27,18 +27,19 @@ class TestAtt:
     def test_matches_independent_mac_construction(self):
         md = Metadata(0, 0, 0, 0)
         pmem = bytes(16)
-        h, _ = tcb_att(KEY, pmem, md, [])
+        h, _ = tcb_att(KEY, pmem, md.pack(), [])
         assert h == hmac_sha256_reference(bytes(32), pmem + md.pack())
 
     def test_log_byte_flip_changes_digest(self):
         md = Metadata(1, 0x9000, 0x9FFC, 1)
-        h1, _ = tcb_att(KEY, bytes(16), md, [(0x9000, 0x9100)])
-        h2, _ = tcb_att(KEY, bytes(16), md, [(0x9000, 0x9101)])
+        h1, _ = tcb_att(KEY, bytes(16), md.pack(), [(0x9000, 0x9100)])
+        h2, _ = tcb_att(KEY, bytes(16), md.pack(), [(0x9000, 0x9101)])
         assert h1 != h2
 
     def test_deterministic(self):
         md = Metadata(7, 0x9000, 0x9FFC, 0)
-        assert tcb_att(KEY, b"\xAB" * 64, md, []) == tcb_att(KEY, b"\xAB" * 64, md, [])
+        assert tcb_att(KEY, b"\xAB" * 64, md.pack(), []) == \
+            tcb_att(KEY, b"\xAB" * 64, md.pack(), [])
 
     def test_pmem_change_primes_the_measurement_again(self):
         """One key measures PMEM A, then B, then A again (the prover's
@@ -51,17 +52,17 @@ class TestAtt:
         tail = md.pack() + bytes.fromhex("90009100")
         a, b = bytearray(b"\xAB" * 512), bytearray(b"\xAB" * 511 + b"\xAC")
         for pmem in (a, b, a):
-            h, _ = tcb_att(dev_key, pmem, md, entries)
+            h, _ = tcb_att(dev_key, pmem, md.pack(), entries)
             assert h == hmac.new(key, bytes(pmem) + tail, hashlib.sha256).digest()
         # the same buffer written in place is measured afresh
         a[0] ^= 0xFF
-        h, _ = tcb_att(dev_key, a, md, entries)
+        h, _ = tcb_att(dev_key, a, md.pack(), entries)
         assert h == hmac.new(key, bytes(a) + tail, hashlib.sha256).digest()
 
     def test_cost_scales_with_measured_bytes(self):
         md = Metadata(0, 0, 0, 0)
-        _, c1 = tcb_att(KEY, bytes(1024), md, [])
-        _, c2 = tcb_att(KEY, bytes(4096), md, [])
+        _, c1 = tcb_att(KEY, bytes(1024), md.pack(), [])
+        _, c2 = tcb_att(KEY, bytes(4096), md.pack(), [])
         assert c2 > c1
 
 
