@@ -4,7 +4,11 @@ and the functional trusted-software model, driven cycle by cycle.
 Every core cycle produces a bus record that is checked *before* its effects
 commit; a veto becomes a reset, and every reset (like every trigger) leads
 straight into the trusted software, which measures memory, ships the report,
-and pauses execution until the verifier approves.
+and pauses execution until the verifier approves.  Application cycles run in
+bursts through one loop, ``Device._run``, which predicts each record, passes
+it through ``_commit`` (the one commit path: veto check, cycle charge,
+monitors, trace) and applies it, and returns as soon as the device leaves
+RUN or opens a session.
 
 The trusted software itself is modeled functionally: entering it charges
 simulated cycle costs per phase and emits only the few bus records that the
@@ -166,12 +170,8 @@ class Device:
             self._skip_idle_polls(channel, until)
             self._wait_poll(channel)
             return
-        if self.mode is not _RUN:
-            return
-        for _ in range(TICK_BURST):
-            if self.mode is not _RUN or self._pending_session is not None:
-                break
-            self._run_cycle()
+        if self.mode is _RUN:
+            self._run(TICK_BURST)
 
     # ------------------------------------------------------------------
     # application execution
@@ -213,56 +213,63 @@ class Device:
             self.trace.append(bus)
         return ev
 
-    def _run_cycle(self) -> None:
+    def _run(self, n: int) -> None:
+        """Run up to ``n`` application cycles, each an interrupt acceptance
+        if a line is eligible and otherwise one retired instruction.  Every
+        path that leaves RUN or opens a session returns, so the loop runs
+        only while the device is in RUN with no session pending."""
         st = self.state
-        if self._attacks:
-            self._apply_due_attacks()
-            if self.mode is not _RUN or self._pending_session is not None:
-                return
+        decoded, commit, attacks = st.decoded, self._commit, self._attacks
+        irq_at_retire, stats = self.events.irq_at_retire, self.stats
+        for _ in range(n):
+            if attacks:
+                self._apply_due_attacks()
+                if self.mode is not _RUN or self._pending_session is not None:
+                    return
 
-        line = acceptable_line(st) if st.pending_irq else None
-        if line is not None and line != NMI_LINE and st.halted:
-            line = None     # only a trigger (non-maskable) wakes a halted core
-        if line is None:
-            if NMI_LINE in st.pending_irq and self._raised is not None \
-                    and st.cycle - self._raised[1] > NMI_ACCEPT_BOUND:
-                # watchdog: a trigger that failed to vector within its bound
-                self._reset(ResetReason.TRIGGER_SUPPRESSED)
-                return
-            if st.halted:
-                self.mode = DeviceMode.HALTED
-                return
+            line = None
+            if st.pending_irq or st.halted:
+                line = acceptable_line(st) if st.pending_irq else None
+                if line is not None and line != NMI_LINE and st.halted:
+                    line = None     # only a trigger (non-maskable) wakes a halted core
+                if line is None:
+                    if NMI_LINE in st.pending_irq and self._raised is not None \
+                            and st.cycle - self._raised[1] > NMI_ACCEPT_BOUND:
+                        # watchdog: a trigger that failed to vector within its bound
+                        self._reset(ResetReason.TRIGGER_SUPPRESSED)
+                        return
+                    if st.halted:
+                        self.mode = DeviceMode.HALTED
+                        return
 
-        # one cycle: an interrupt acceptance if a line is eligible, otherwise
-        # the next instruction retires
-        try:
+            try:
+                if line is None:
+                    ins = decoded.get(st.pc) or _fetch(st)
+                    bus = predict_bus(st, ins)
+                else:
+                    bus = predict_acceptance(st, line)
+            except FaultError as e:
+                self.last_fault = e.reason
+                self._reset(ResetReason.MACHINE_FAULT)
+                return
+            ev = commit(bus, 0)
+            if ev is None:
+                return
             if line is None:
-                ins = _fetch(st)
-                bus = predict_bus(st, ins)
+                apply_instr(st, ins, bus)
             else:
-                bus = predict_acceptance(st, line)
-        except FaultError as e:
-            self.last_fault = e.reason
-            self._reset(ResetReason.MACHINE_FAULT)
-            return
-        ev = self._commit(bus, 0)
-        if ev is None:
-            return
-        if line is None:
-            apply_instr(st, ins, bus)
-        else:
-            resume_ctx = (st.pc, st.gie, st.z)
-            apply_acceptance(st, line)
-        self.stats.app_cycles += 1
-        if line == NMI_LINE:
-            self._enter_tcb(self._raised[0] if self._raised else TriggerKind.BOOT,
-                            resume_ctx)
-            return
-        if ev.trigger is not None:
-            self._raise_trigger(ev.trigger)
-        if line is None and self.events.irq_at_retire:
-            for irq_line in self.events.irq_at_retire.get(st.retired, ()):
-                raise_irq(st, irq_line)
+                resume_ctx = (st.pc, st.gie, st.z)
+                apply_acceptance(st, line)
+            stats.app_cycles += 1
+            if line == NMI_LINE:
+                self._enter_tcb(self._raised[0] if self._raised else TriggerKind.BOOT,
+                                resume_ctx)
+                return
+            if ev.trigger is not None:
+                self._raise_trigger(ev.trigger)
+            if line is None and irq_at_retire:
+                for irq_line in irq_at_retire.get(st.retired, ()):
+                    raise_irq(st, irq_line)
 
     def _raise_trigger(self, kind: TriggerKind) -> None:
         if self._raised is not None or NMI_LINE in self.state.pending_irq:

@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .isa import INSTR_SIZE, WORD, DecodeError, Instr, Op, SP_REG, decode_word
-from .isa import (ADD, CALL, CALLI, CMP, DINT, EINT, HALT, JMP, JNZ, JZ, MOV,
+from .isa import (ADD, CALL, CALLI, CMP, DINT, EINT, HALT, JMP, JNZ, JZ, MOV, NOP,
                   POP, PUSH, RET, RETI, SUB)
 from .isa import (M_ABS_LOAD, M_ABS_STORE, M_IDX_LOAD, M_IDX_STORE,
                   M_IMM, M_IND_LOAD, M_IND_STORE, M_REG)
@@ -195,7 +195,7 @@ class ProgramImage:
         return cls(entry, tuple(segs))
 
 
-@dataclass
+@dataclass(slots=True)
 class DmaConfig:
     """External DMA engine: while bytes remain it emits one byte write per
     cycle."""
@@ -232,7 +232,7 @@ class SignalBus:
     irq_line: int | None = None   # line being accepted when irq_acc is set
 
 
-@dataclass
+@dataclass(slots=True)
 class McuState:
     layout: MemoryLayout
     pmem: bytearray
@@ -429,13 +429,22 @@ def apply_acceptance(state: McuState, line: int) -> None:
         _dma_advance(state)
 
 
+# The op classes the two per-retirement functions test first: a record of
+# _PLAIN_BUS needs no field beyond the first four, and _TAIL_ONLY has no
+# effect beyond the common tail of ``apply_instr``.
+_PLAIN_BUS = frozenset({ADD, SUB, CMP, NOP, EINT, DINT})
+_TAIL_ONLY = frozenset({JMP, JZ, JNZ, NOP})
+
+
 def predict_bus(state: McuState, ins: Instr) -> SignalBus:
     """Compute the full bus record for retiring ``ins`` without side effects."""
     pc = state.pc
     nxt = (pc + INSTR_SIZE) & MASK16
     op = ins.op
     bus = SignalBus(pc, state.pc_prev, nxt, op)
-    if op is MOV:
+    if op in _PLAIN_BUS:
+        pass
+    elif op is MOV:
         m = ins.mode
         if m == M_ABS_LOAD:
             bus.d_addr = ins.imm
@@ -498,7 +507,16 @@ def apply_instr(state: McuState, ins: Instr, bus: SignalBus) -> None:
     same state."""
     op = ins.op
     r = state.regs
-    if op is MOV:
+    if op in _TAIL_ONLY:
+        pass
+    elif op is ADD or op is SUB or op is CMP:
+        a = r[ins.rd]
+        b = ins.imm if ins.mode == M_IMM else r[ins.rs]
+        res = (a + b) & MASK16 if op is ADD else (a - b) & MASK16
+        state.z = res == 0
+        if op is not CMP:
+            r[ins.rd] = res
+    elif op is MOV:
         m = ins.mode
         if m == M_IMM:
             r[ins.rd] = ins.imm
@@ -509,13 +527,6 @@ def apply_instr(state: McuState, ins: Instr, bus: SignalBus) -> None:
         else:
             src = r[ins.rs]
             state.write16(bus.d_addr, src)
-    elif op is ADD or op is SUB or op is CMP:
-        a = r[ins.rd]
-        b = ins.imm if ins.mode == M_IMM else r[ins.rs]
-        res = (a + b) & MASK16 if op is ADD else (a - b) & MASK16
-        state.z = res == 0
-        if op is not CMP:
-            r[ins.rd] = res
     elif op is CALL or op is CALLI:
         state.sp -= 2
         state.write16(state.sp, (bus.pc + INSTR_SIZE) & MASK16)

@@ -129,22 +129,6 @@ def timer_write_check(bus: SignalBus, layout: MemoryLayout) -> ResetReason | Non
 
 
 # ---------------------------------------------------------------------------
-# Branch monitor
-# ---------------------------------------------------------------------------
-
-def is_branch_record(bus: SignalBus) -> bool:
-    """Taken control-flow transfer on this record (instruction or interrupt)."""
-    if bus.irq_acc:
-        return True
-    op = bus.inst
-    if op not in BRANCH_OPS:
-        return False
-    if (op is JZ or op is JNZ) and bus.pc_next == (bus.pc + INSTR_SIZE) & 0xFFFF:
-        return False      # not taken: no transfer occurs
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Loop monitor
 # ---------------------------------------------------------------------------
 
@@ -225,28 +209,48 @@ class CfaMonitor:
         and its fill counter, and report any trigger that the record caused.
         Must be called after veto checks passed.  The region bounds and the
         fill level are read from DMEM once, here."""
-        pc, tcb_max = bus.pc, self._tcb_max
+        pc, op, tcb_max = bus.pc, bus.inst, self._tcb_max
         _, ar_min, ar_max, cf_size = METADATA.unpack_from(self.dmem, MD_OFF)
 
         # Trusted-software exit frees the log for the next slice.
-        if pc == tcb_max and bus.inst is not None:
+        if pc == tcb_max and op is not None:
             cf_size = 0
             self._set_cf_size(0)
             self.loop.reset()
 
-        # most records are neither an acceptance nor a branch instruction
+        # Branch monitor: the record is a taken transfer when it accepts an
+        # interrupt or retires a branch instruction, except a conditional
+        # that falls through.  Most records are neither.
         entry = None
-        if (bus.irq_acc or bus.inst in BRANCH_OPS) and is_branch_record(bus):
-            entry, cf_size = self._log_transfer(bus, ar_min, ar_max, cf_size)
+        if bus.irq_acc or (op in BRANCH_OPS and not (
+                (op is JZ or op is JNZ) and bus.pc_next == (pc + INSTR_SIZE) & 0xFFFF)):
+            # the source of an acceptance is the last retired instruction
+            src = pc if op is not None else bus.pc_prev
+            dest = bus.pc_next
+            loop = self.loop
+            if src == loop.src_loop and dest == loop.dest_loop \
+                    and loop.ctr < self._ctr_max and cf_size < self._max_entries:
+                # a repeat of the last logged jump: count it in the
+                # uncommitted slot at the fill level.  The pair passed the
+                # region test when it was logged, and the bounds change only
+                # inside a session, whose exit (or reset) clears the loop
+                # state first.
+                loop.ctr += 1
+                SLOT.pack_into(self.dmem, LOG_OFF + SLOT.size * cf_size,
+                               loop.ctr >> 16, loop.ctr & 0xFFFF)
+            else:
+                entry, cf_size = self._log_transfer(bus, src, dest, ar_min, ar_max,
+                                                    cf_size)
 
         # the timer counts application cycles only
         expired = False
-        if self.timer_count and (pc > tcb_max or pc < MemoryLayout.tcb_min):
-            self.timer_count -= 1
-            expired = self.timer_count == 0
+        count = self.timer_count
+        if count and (pc > tcb_max or pc < MemoryLayout.tcb_min):
+            self.timer_count = count - 1
+            expired = count == 1
 
         # triggers, by priority: region end, log full, timer expiry
-        if pc == ar_max and ar_max != 0 and bus.inst is not None:
+        if pc == ar_max and ar_max != 0 and op is not None:
             trigger = _REGION_END
         elif cf_size >= self._flush_level:
             trigger = _LOG_FULL
@@ -254,27 +258,14 @@ class CfaMonitor:
             trigger = _TIMER_EXPIRY if expired else None
         return _SHARED_EVENTS[trigger] if entry is None else MonitorEvent(entry, trigger)
 
-    def _log_transfer(self, bus: SignalBus, ar_min: int, ar_max: int,
-                      cf_size: int) -> tuple[tuple[int, int] | None, int]:
-        """Log the transfer on a branch record: the entry appended, if any,
-        and the fill level after the record.  The source of an interrupt
-        acceptance is the last retired instruction; a trigger's acceptance
-        is also logged when only its interrupted ``bus.pc`` is in the region
-        (a maskable one only when its source or destination is)."""
-        src = bus.pc if bus.inst is not None else bus.pc_prev
-        dest = bus.pc_next
+    def _log_transfer(self, bus: SignalBus, src: int, dest: int, ar_min: int,
+                      ar_max: int, cf_size: int) -> tuple[tuple[int, int] | None, int]:
+        """Log the transfer ``(src, dest)`` of a branch record that does not
+        repeat the last logged jump: the entry appended, if any, and the fill
+        level after the record.  A trigger's acceptance is also logged when
+        only its interrupted ``bus.pc`` is in the region (a maskable one
+        only when its source or destination is)."""
         loop = self.loop
-        if src == loop.src_loop and dest == loop.dest_loop \
-                and loop.ctr < self._ctr_max and cf_size < self._max_entries:
-            # a repeat of the last logged jump: count it in the uncommitted
-            # slot at the fill level.  The pair passed the region test when
-            # it was logged, and the bounds change only inside a session,
-            # whose exit (or reset) clears the loop state first.
-            loop.ctr += 1
-            SLOT.pack_into(self.dmem, LOG_OFF + SLOT.size * cf_size,
-                           loop.ctr >> 16, loop.ctr & 0xFFFF)
-            return None, cf_size
-
         if cf_size >= self._max_entries \
                 or not (ar_min <= src <= ar_max or ar_min <= dest <= ar_max
                         or bus.irq_line == NMI_LINE and ar_min <= bus.pc <= ar_max):

@@ -253,9 +253,13 @@ class _Walker:
         cfg, lay = self.cfg, self.lay
 
         if self.cursor == EXTERNAL:
-            if cfg.in_region(s):
-                return Violation(i, "BrokenFlow")
-            return self._enter_external(i, s, d)
+            if not cfg.in_region(s):
+                return self._enter_external(i, s, d)
+            # an acceptance on the cycle after the transfer that left the
+            # region; _accept_interrupt admits only that transfer's source
+            if d == lay.tcb_min or d in cfg.isr_targets:
+                return self._accept_interrupt(i, s, d)
+            return Violation(i, "BrokenFlow")
 
         # a transfer into the trusted software or a handler entry is an
         # interrupt acceptance, except when it is the taken edge of the very

@@ -608,7 +608,7 @@ class TestTriggerSuppression:
         dev._raised = (TriggerKind.BOOT, dev.state.cycle)
         monkeypatch.setattr(device_mod, "acceptable_line", lambda st: None)
         for _ in range(10):
-            dev._run_cycle()
+            dev._run(1)
             if dev.last_reset is ResetReason.TRIGGER_SUPPRESSED:
                 break
         assert dev.last_reset is ResetReason.TRIGGER_SUPPRESSED
@@ -855,3 +855,46 @@ class TestAttackSchedule:
         first, second = self.run(events), self.run(events)
         assert first.audit == second.audit
         assert second.device.last_reset is ResetReason.DMA_METADATA
+
+
+class TestCallBudget:
+    """The application loop's cost in Python calls, counted with
+    ``sys.setprofile`` rather than timed: a delay-loop retirement makes five
+    (``predict_bus``, ``SignalBus.__init__``, ``Device._commit``,
+    ``CfaMonitor.observe`` and ``apply_instr``), plus its share of one drive
+    loop pass per ``TICK_BURST`` cycles."""
+
+    @staticmethod
+    def calls(n):
+        import sys
+
+        built = assemble(f"""
+        .org 0x9000
+main:   MOV r6, #{n}
+loop:   SUB r6, #1
+        JNZ loop
+fin:    NOP
+        HALT
+""", entry=LAY.tcb_min)
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            if event == "call":
+                count += 1
+
+        sys.setprofile(profile)
+        try:
+            res = run_image(built.image, (built.symbols["main"], built.symbols["fin"]),
+                            LAY, key_bytes=_derive_key(1))
+        finally:
+            sys.setprofile(None)
+        assert res.outcome is Outcome.COMPLETED
+        return count, res.device.state.retired
+
+    def test_delay_loop_retirement_makes_five_calls(self):
+        self.calls(1_000)       # warm the process-wide decode table
+        c1, r1 = self.calls(1_000)
+        c3, r3 = self.calls(3_000)
+        assert r3 - r1 == 4_000
+        assert (c3 - c1) / (r3 - r1) <= 5.1

@@ -9,7 +9,7 @@ from cfasim.isa import Op
 from cfasim.mcu import NMI_LINE, MemoryLayout, SignalBus, render_pmem
 from cfasim.monitor import (FLUSH_RESERVE, CfaMonitor, Metadata,
                             ResetReason, TriggerKind, boundary_check,
-                            is_branch_record, read_log_entries, read_metadata,
+                            read_log_entries, read_metadata,
                             timer_write_check, write_metadata)
 from cfasim.rot import Mode
 from cfasim.tcb import DeviceKey
@@ -79,23 +79,33 @@ class TestBoundary:
 
 
 class TestBranchDetect:
+    """``observe`` logs a record exactly when it is a taken transfer; every
+    record here has an end in the attested region."""
+
+    @staticmethod
+    def logs(bus):
+        mon, _ = fresh_monitor()
+        return mon.observe(bus).entry is not None
+
     def test_jmp_detected(self):
-        assert is_branch_record(rec(inst=Op.JMP, pc_next=0x9100))
+        assert self.logs(rec(inst=Op.JMP, pc_next=0x9100))
 
     def test_mov_not_detected(self):
-        assert not is_branch_record(rec(inst=Op.MOV))
+        assert not self.logs(rec(inst=Op.MOV))
 
     def test_not_taken_conditional_not_detected(self):
-        assert not is_branch_record(rec(pc=0x9000, pc_next=0x9004, inst=Op.JZ))
+        assert not self.logs(rec(pc=0x9000, pc_next=0x9004, inst=Op.JZ))
 
     def test_taken_conditional_detected(self):
-        assert is_branch_record(rec(pc=0x9000, pc_next=0x9100, inst=Op.JNZ))
+        assert self.logs(rec(pc=0x9000, pc_next=0x9100, inst=Op.JNZ))
 
     def test_call_irq_forces_detection(self):
         # the acceptance record (the core's irq_acc, the paper's call_irq)
-        # is the jump into the handler
-        assert is_branch_record(rec(inst=None, pc_next=0x8000, irq_acc=True))
-        assert not is_branch_record(rec(inst=None, pc_next=0x8000))
+        # is the jump into the handler; its source is the last retired pc
+        assert self.logs(rec(pc=0x9004, pc_prev=0x9000, inst=None, pc_next=0x8000,
+                             irq_acc=True))
+        assert not self.logs(rec(pc=0x9004, pc_prev=0x9000, inst=None,
+                                 pc_next=0x8000))
 
 
 class TestLogMonitor:
@@ -275,7 +285,7 @@ def drive_and_replay(image, lay, ar, start, cycles, events=None):
     for _ in range(cycles):
         if dev.mode is not DeviceMode.RUN or dev._pending_session is not None:
             break
-        dev._run_cycle()
+        dev._run(1)
 
     mon = CfaMonitor(dmem0, lay)
     for bus in dev.trace:

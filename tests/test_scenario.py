@@ -253,6 +253,66 @@ def _mixed_run():
                      key_bytes=_derive_key(1), timer_deadline=15)
 
 
+# MIXED with ``fn`` moved past ``HALT``, out of the attested region: each
+# call in the loop leaves the region, and a trigger can be accepted on the
+# cycle right after it
+MIXED_CALL_OUT = MIXED.replace("fn:     RET\n", "").replace(
+    "        HALT\n", "        HALT\nfn:     RET\n")
+
+
+def _call_out_run(log_size, timer):
+    lay = MemoryLayout(cflog_size=log_size)
+    built = assemble(MIXED_CALL_OUT, entry=lay.tcb_min)
+    res = run_image(built.image, (built.symbols["main"], built.symbols["fin"]), lay,
+                    key_bytes=_derive_key(1), timer_deadline=timer,
+                    cycle_budget=10**9)
+    return res, built.symbols
+
+
+@pytest.mark.parametrize("log_size", [16, 64])
+def test_trigger_right_after_a_transfer_out_of_the_region_is_approved(log_size):
+    """The acceptance's source is the in-region call the walker has already
+    followed out of the region; it is the interrupted transfer, not a
+    broken flow."""
+    for timer in range(1, 80):
+        res, _ = _call_out_run(log_size, timer)
+        assert res.outcome is Outcome.COMPLETED, timer
+        assert not any(" app=0 " in line for line in res.audit), timer
+
+
+def test_acceptance_after_a_transfer_out_admits_no_other_pair():
+    """Re-MAC the accepted acceptance entry with its source, or its
+    destination, moved to every other region address and to either end of
+    the trusted software: the verifier denies every one."""
+    from cfasim.verifier import Verifier
+    from cfasim.wire import CfaReport, attest_digest, decode_response, encode_report
+
+    res, sym = _call_out_run(64, 5)
+    lay = MemoryLayout(cflog_size=64)
+    rep = res.reports[3]
+    accepted = (sym["loop"], lay.tcb_min)
+    assert rep.entries[3] == accepted
+
+    def replay(entries):
+        verifier = Verifier(res.verifier.config)
+        for frame in res.device.reports[:3]:
+            assert verifier.handle_report(frame) is not None
+        h = attest_digest(_derive_key(1), res.verifier.config.expected_pmem,
+                          rep.metadata, entries)
+        resp = verifier.handle_report(encode_report(
+            CfaReport(h, rep.metadata, rep.trigger, entries)))
+        return decode_response(resp).app
+
+    assert replay(rep.entries) == 1
+    addrs = list(range(sym["main"], sym["fin"] + 1, 4)) + [lay.tcb_min, lay.tcb_max]
+    mutants = [(a, accepted[1]) for a in addrs if a != accepted[0]] \
+        + [(accepted[0], a) for a in addrs if a != accepted[1]]
+    assert len(mutants) == 30
+    approved = [m for m in mutants
+                if replay(rep.entries[:3] + (m,) + rep.entries[4:]) != 0]
+    assert approved == []
+
+
 @pytest.mark.parametrize("run", [
     lambda: run_scenario(ScenarioConfig(app="loop_heavy", max_cflog_bytes=16,
                                         cycle_budget=10**9)),
