@@ -16,10 +16,10 @@ Five cooperating sub-monitors are evaluated against every bus record:
                       transfer; a further repeat commits it as a new pair
 * logger            - appends (source, destination) pairs to the protected
                       log region in data memory: each transfer with an end
-                      in the attested region, and each trigger (NMI-line)
-                      acceptance whose interrupted address lies in it, so a
-                      trigger accepted right after a call into the region
-                      still tells the verifier where execution resumes
+                      in the attested region, and each acceptance whose
+                      interrupted address lies in it, so an interrupt
+                      accepted right after a call into the region still
+                      tells the verifier where execution resumes
 
 Every record takes one path through ``CfaMonitor.observe``, which reads and
 writes the protected records at their fixed DMEM offsets (``mcu.MD_OFF``,
@@ -37,8 +37,8 @@ import struct
 from dataclasses import dataclass
 
 from .isa import INSTR_SIZE, BRANCH_OPS, JNZ, JZ
-from .mcu import (FLUSH_RESERVE, LOG_OFF, MD_CF_SIZE, MD_OFF, METADATA, NMI_LINE,
-                  SLOT, TIMER, TIMER_OFF, MemoryLayout, SignalBus)
+from .mcu import (FLUSH_RESERVE, LOG_OFF, MD_CF_SIZE, MD_OFF, METADATA, SLOT,
+                  TIMER, TIMER_OFF, MemoryLayout, SignalBus)
 
 
 class ResetReason(enum.Enum):
@@ -262,13 +262,13 @@ class CfaMonitor:
                       ar_max: int, cf_size: int) -> tuple[tuple[int, int] | None, int]:
         """Log the transfer ``(src, dest)`` of a branch record that does not
         repeat the last logged jump: the entry appended, if any, and the fill
-        level after the record.  A trigger's acceptance is also logged when
-        only its interrupted ``bus.pc`` is in the region (a maskable one
-        only when its source or destination is)."""
+        level after the record.  It is logged when ``src``, ``dest`` or
+        ``bus.pc`` lies in the region: a branch's source, or an acceptance's
+        interrupted address on any line."""
         loop = self.loop
         if cf_size >= self._max_entries \
                 or not (ar_min <= src <= ar_max or ar_min <= dest <= ar_max
-                        or bus.irq_line == NMI_LINE and ar_min <= bus.pc <= ar_max):
+                        or ar_min <= bus.pc <= ar_max):
             return None, cf_size
         entry = None
         if loop.ctr > 1:

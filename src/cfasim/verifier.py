@@ -124,8 +124,7 @@ class VerifySession:
 class _Walker:
     """Working state of one slice validation; committed only on success."""
 
-    __slots__ = ("cfg", "lay", "shadow", "cursor", "pending", "last_src",
-                 "last_pair", "entered_tcb")
+    __slots__ = ("cfg", "lay", "shadow", "cursor", "pending", "last_src")
 
     def __init__(self, cfg: Cfg, session: VerifySession):
         self.cfg = cfg
@@ -134,8 +133,6 @@ class _Walker:
         self.cursor = session.cursor
         self.pending = session.pending_resume
         self.last_src = session.last_src
-        self.last_pair: tuple[int, int] | None = None
-        self.entered_tcb = False
 
     def commit(self, session: VerifySession) -> None:
         session.shadow = self.shadow
@@ -201,11 +198,12 @@ class _Walker:
         if d == self.lay.tcb_min:
             self.pending = cands
             self.cursor = None
-            self.entered_tcb = True
             return None
         returns = tuple(sorted(cands - {EXTERNAL}))
         if not returns:
-            return Violation(i, "BrokenFlow")
+            # resuming outside the region: an interrupt of unaudited code
+            # leaves the walk where it stood, outside
+            return None if cursor == EXTERNAL else Violation(i, "BrokenFlow")
         self.shadow.append(returns)
         self.cursor = self._loc(d)
         return None
@@ -214,52 +212,44 @@ class _Walker:
 
     def first_entry(self, kind: SliceKind, s: int, d: int,
                     issued_ar: tuple[int, int]) -> Violation | None:
-        lay = self.lay
-        if kind in RUN_STARTS:
-            if d != issued_ar[0]:
-                return Violation(0, "BadRegionEntry")
-            if s != lay.tcb_max:
-                # function call into the region; remember where it returns
-                self.shadow.append(((s + INSTR_SIZE) & MASK16,))
-            self.pending = frozenset()
-            self.cursor = d
-            return None
-        # intermediate/last: normally the trusted-software exit jump back to
-        # the interruption point; a trigger that fired while execution was
-        # outside the region instead surfaces as a fresh external entry
-        if s == lay.tcb_max:
-            if not self.cfg.in_region(d):
+        """Entry 0 adds only what a slice start decides.  A run enters at the
+        region start.  The trusted software's exit jump resumes the walk at
+        its destination, which within a run must be an announced resume
+        point.  Any other first entry is a transfer from outside the region
+        (a run's call into it, or a return or trigger while execution was
+        outside), judged by :meth:`entry` from an ``EXTERNAL`` cursor."""
+        fresh = kind in RUN_STARTS
+        if fresh and d != issued_ar[0]:
+            return Violation(0, "BadRegionEntry")
+        if s == self.lay.tcb_max:
+            if not (fresh or self.cfg.in_region(d)):
                 return Violation(0, "BadSliceStart")
-            if d not in self.pending:
+            if not (fresh or d in self.pending):
                 return Violation(0, "ResumeMismatch")
             self.pending = frozenset()
             self.cursor = d
             return None
-        if self.cursor == EXTERNAL or EXTERNAL in self.pending:
-            self.pending = frozenset()
-            return self._enter_external(0, s, d)
-        return Violation(0, "BadSliceStart")
+        if not (fresh or self.cursor == EXTERNAL or EXTERNAL in self.pending):
+            return Violation(0, "BadSliceStart")
+        self.pending = frozenset()
+        self.cursor = EXTERNAL
+        return self.entry(0, s, d)
 
     def counter_entry(self, i: int, count: int) -> Violation | None:
-        ls, ld = self.last_pair
-        if count < 2 or self.cursor != ld or not self._reachable(ld, ls):
+        # iterations 2..count retrace the identical backward jump, from
+        # last_src to the cursor; one extra traversal proves the loop body
+        # is straight-line, the rest repeat it
+        if count < 2 or not self._reachable(self.cursor, self.last_src):
             return Violation(i, "BadCounter")
-        # iterations 2..count retrace the identical backward jump; one extra
-        # traversal proves the loop body is straight-line, the rest repeat it
-        self.cursor = ld
         return None
 
     def entry(self, i: int, s: int, d: int) -> Violation | None:
         cfg, lay = self.cfg, self.lay
 
-        if self.cursor == EXTERNAL:
-            if not cfg.in_region(s):
-                return self._enter_external(i, s, d)
-            # an acceptance on the cycle after the transfer that left the
-            # region; _accept_interrupt admits only that transfer's source
-            if d == lay.tcb_min or d in cfg.isr_targets:
-                return self._accept_interrupt(i, s, d)
-            return Violation(i, "BrokenFlow")
+        # an in-region source under an EXTERNAL cursor reaches nothing: below
+        # it is an acceptance right after the transfer out, or a BrokenFlow
+        if self.cursor == EXTERNAL and not cfg.in_region(s):
+            return self._enter_external(i, s, d)
 
         # a transfer into the trusted software or a handler entry is an
         # interrupt acceptance, except when it is the taken edge of the very
@@ -305,7 +295,8 @@ def validate_slice(kind: SliceKind, entries: Sequence[tuple[int, int]], cfg: Cfg
     lay = session.layout
 
     for i, (s, d, count) in enumerate(decode_log(entries)):
-        if w.entered_tcb:
+        if i and w.cursor is None:
+            # only the acceptance into the trusted software leaves no cursor
             return Violation(i, "EntriesAfterTrigger")
         if count is not None:
             v = w.counter_entry(i, count)
@@ -318,7 +309,6 @@ def validate_slice(kind: SliceKind, entries: Sequence[tuple[int, int]], cfg: Cfg
             v = w.entry(i, s, d)
         if v is not None:
             return v
-        w.last_pair = (s, d)
         w.last_src = s
 
     if kind in RUN_ENDS:

@@ -5,8 +5,9 @@ It shares only the instruction *definitions* (decode tables) with the
 product; execution, interrupt handling and transfer recording are written
 from scratch here.  It records every control-flow transfer as a (src, dest)
 pair: taken branches as (branch address, target) and interrupt acceptances
-as (last retired address, handler entry).  It knows nothing about triggers,
-logs, or the trusted software.
+as (last retired address, handler entry), and for each acceptance the
+address it interrupted.  It knows nothing about triggers, logs, or the
+trusted software.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ class GoldenRun:
     transfers: list[tuple[int, int]]
     retired: int
     halted: bool
+    interrupted: dict[int, int]     # transfer index -> interrupted address
 
 
 class GoldenMcu:
@@ -52,6 +54,7 @@ class GoldenMcu:
         self.pending: dict[int, int] = {}
         self.schedule = irq_at_retire or {}
         self.transfers: list[tuple[int, int]] = []
+        self.interrupted: dict[int, int] = {}
 
     # memory (little-endian words, same physical map)
 
@@ -80,6 +83,7 @@ class GoldenMcu:
             line = self._accept_line()
             if line is not None:
                 target = self._rd16(lay.ivt_base + 2 * line)
+                self.interrupted[len(self.transfers)] = self.pc
                 self.transfers.append((self.last_retired, target))
                 self.sp -= 2
                 self._wr16(self.sp, self.pc)
@@ -90,7 +94,8 @@ class GoldenMcu:
             self._step()
             for l in self.schedule.get(self.retired, ()):
                 self.pending.setdefault(l, self.retired)
-        return GoldenRun(self.transfers, self.retired, self.halted)
+        return GoldenRun(self.transfers, self.retired, self.halted,
+                         self.interrupted)
 
     def _step(self):
         pc = self.pc
@@ -165,8 +170,10 @@ def golden_region_trace(image: ProgramImage, layout: MemoryLayout,
                         ar: tuple[int, int],
                         irq_at_retire: dict[int, tuple[int, ...]] | None = None,
                         max_retires: int = 1_000_000) -> list[tuple[int, int]]:
-    """All transfers whose source or destination lies inside ``ar``."""
+    """All transfers whose source or destination lies inside ``ar``, and
+    every acceptance whose interrupted address does."""
     run = GoldenMcu(image, layout, irq_at_retire).run(max_retires)
     lo, hi = ar
-    return [(s, d) for s, d in run.transfers
-            if lo <= s <= hi or lo <= d <= hi]
+    return [(s, d) for i, (s, d) in enumerate(run.transfers)
+            if lo <= s <= hi or lo <= d <= hi
+            or lo <= run.interrupted.get(i, -1) <= hi]

@@ -1,0 +1,26 @@
+"""Re-MAC one report of a finished run with other log entries and replay it.
+
+A mutation check asks whether the verifier approves a log the device never
+sent.  The test holds the prover's key, so the altered report carries a
+valid MAC and only the slice walk can deny it.
+"""
+
+from __future__ import annotations
+
+from cfasim.verifier import Verifier
+from cfasim.wire import CfaReport, attest_digest, decode_response, encode_report
+
+
+def replay_with_entries(res, index: int, entries) -> int:
+    """The ``app`` bit that a fresh verifier, configured as ``res``'s, answers
+    to report ``index`` of ``res`` with its log replaced by ``entries`` and
+    MACed again, after the untouched earlier frames."""
+    config = res.verifier.config
+    verifier = Verifier(config)
+    for frame in res.device.reports[:index]:
+        assert verifier.handle_report(frame) is not None
+    rep = res.reports[index]
+    h = attest_digest(config.key, verifier.expected_pmem, rep.metadata, entries)
+    resp = verifier.handle_report(encode_report(
+        CfaReport(h, rep.metadata, rep.trigger, tuple(entries))))
+    return decode_response(resp).app

@@ -133,13 +133,13 @@ class TestLogMonitor:
         assert ev.entry == (0x9010, 0x9800)
 
     @pytest.mark.parametrize("line, dest, logged", [(NMI_LINE, 0x8000, True),
-                                                    (3, 0x9800, False)],
+                                                    (3, 0x9800, True)],
                              ids=["trigger", "maskable"])
     def test_acceptance_at_region_entry(self, line, dest, logged):
         # the call into the region retires outside it, and an acceptance on
         # the next cycle interrupts the region's first instruction: its
         # source (the call) and destination both lie outside the region.
-        # A trigger's acceptance is logged all the same, so the verifier
+        # An acceptance on any line is logged all the same, so the verifier
         # learns where execution resumes.
         mon, lay = fresh_monitor(ar=(0x9100, 0x91FC))
         mon.observe(rec(pc=0x9008, pc_next=0x9100, inst=Op.CALL))

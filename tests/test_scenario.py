@@ -284,8 +284,7 @@ def test_acceptance_after_a_transfer_out_admits_no_other_pair():
     """Re-MAC the accepted acceptance entry with its source, or its
     destination, moved to every other region address and to either end of
     the trusted software: the verifier denies every one."""
-    from cfasim.verifier import Verifier
-    from cfasim.wire import CfaReport, attest_digest, decode_response, encode_report
+    from helpers.replay import replay_with_entries
 
     res, sym = _call_out_run(64, 5)
     lay = MemoryLayout(cflog_size=64)
@@ -294,14 +293,7 @@ def test_acceptance_after_a_transfer_out_admits_no_other_pair():
     assert rep.entries[3] == accepted
 
     def replay(entries):
-        verifier = Verifier(res.verifier.config)
-        for frame in res.device.reports[:3]:
-            assert verifier.handle_report(frame) is not None
-        h = attest_digest(_derive_key(1), res.verifier.config.expected_pmem,
-                          rep.metadata, entries)
-        resp = verifier.handle_report(encode_report(
-            CfaReport(h, rep.metadata, rep.trigger, entries)))
-        return decode_response(resp).app
+        return replay_with_entries(res, 3, entries)
 
     assert replay(rep.entries) == 1
     addrs = list(range(sym["main"], sym["fin"] + 1, 4)) + [lay.tcb_min, lay.tcb_max]
