@@ -27,10 +27,10 @@ as ``_session`` read them from it; both index DMEM at the fixed offsets
 included, lands through ``McuState.store``, so the core's decode cache
 (``McuState.decoded``) follows that one PMEM write path: ``store`` empties it.
 
-Under best-effort resume a wait times out only once a response has issued a
-region (``ar_max`` in the metadata is not 0); before that the device keeps
-waiting and retransmitting, since a resumed application would run with
-nothing logged and nothing reported.
+A pending trigger has one record, ``Device._raised``: only the trigger logic
+raises the NMI line, and an ``irq_at_retire`` schedule may name the maskable
+lines 1-7 alone.  After a report, each ``_wait_poll`` call is one executed
+poll of the wait loop, which also charges the idle polls before it.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ from dataclasses import dataclass, field
 
 from .channel import Channel, PROVER, VERIFIER
 from .isa import JMP, MOV
-from .mcu import (LOG_OFF, MD_AR_MIN, MD_CF_SIZE, MD_OFF, METADATA, SLOT, TIMER,
-                  FaultError, ImageError, MemoryLayout, NMI_LINE, ProgramImage,
-                  SignalBus, acceptable_line, apply_acceptance, apply_instr,
-                  _fetch, load_image, predict_acceptance, predict_bus, raise_irq)
+from .mcu import (LOG_OFF, MD_AR_MIN, MD_CF_SIZE, MD_OFF, METADATA, NMI_LINE,
+                  NUM_IRQ_LINES, SLOT, TIMER, FaultError, ImageError, MemoryLayout,
+                  ProgramImage, SignalBus, acceptable_line, apply_acceptance, _fetch,
+                  apply_instr, load_image, predict_acceptance, predict_bus, raise_irq)
 from .monitor import (CfaMonitor, MonitorEvent, ResetReason, TriggerKind,
                       boundary_check, timer_write_check)
 from .rot import Mode, NMI_ACCEPT_BOUND, RotState, on_reset, rot_check
@@ -121,6 +121,9 @@ class Device:
         self.update_image = update_image
         self.timer_deadline = timer_deadline
         self.events = events or DeviceEvents()
+        for line in (n for lines in self.events.irq_at_retire.values() for n in lines):
+            if not NMI_LINE < line < NUM_IRQ_LINES:     # the NMI is the trigger logic's
+                raise ValueError(f"irq_at_retire names line {line}, not a maskable line")
         self.state = load_image(image, layout)
         self.monitor = CfaMonitor(self.state.dmem, layout)
         self.rot = RotState()
@@ -134,7 +137,7 @@ class Device:
         self._pending_session: TriggerKind | None = TriggerKind.BOOT
         self._resume_ctx: tuple[int, bool, bool] = (layout.s_base, False, False)
         # the trigger raised on the NMI line and not yet accepted, with the
-        # cycle it was raised at
+        # cycle it was raised at; the NMI is pending exactly while this is set
         self._raised: tuple[TriggerKind, int] | None = None
         # attacks not yet applied, the next one last; attacks due at the same
         # cycle apply in their given order
@@ -159,18 +162,15 @@ class Device:
 
     def tick(self, channel: Channel, until: int | None = None) -> None:
         """Advance the device: a pending trusted-software session, one wait
-        poll after skipping the idle ones before it, or up to ``TICK_BURST``
-        application cycles.  ``until`` is the drive loop's cycle budget,
-        which the skip does not pass; without it the skip still stops at the
-        next retransmission."""
+        poll (see ``_wait_poll``), or up to ``TICK_BURST`` application
+        cycles.  ``until`` is the drive loop's cycle budget, which a wait
+        poll does not pass; without it a poll still stops at the next
+        retransmission."""
         if self._pending_session is not None:
             self._session(channel)
-            return
-        if self.mode is _WAIT:
-            self._skip_idle_polls(channel, until)
-            self._wait_poll(channel)
-            return
-        if self.mode is _RUN:
+        elif self.mode is _WAIT:
+            self._wait_poll(channel, until)
+        elif self.mode is _RUN:
             self._run(TICK_BURST)
 
     # ------------------------------------------------------------------
@@ -233,8 +233,7 @@ class Device:
                 if line is not None and line != NMI_LINE and st.halted:
                     line = None     # only a trigger (non-maskable) wakes a halted core
                 if line is None:
-                    if NMI_LINE in st.pending_irq and self._raised is not None \
-                            and st.cycle - self._raised[1] > NMI_ACCEPT_BOUND:
+                    if self._raised and st.cycle - self._raised[1] > NMI_ACCEPT_BOUND:
                         # watchdog: a trigger that failed to vector within its bound
                         self._reset(ResetReason.TRIGGER_SUPPRESSED)
                         return
@@ -262,8 +261,7 @@ class Device:
                 apply_acceptance(st, line)
             stats.app_cycles += 1
             if line == NMI_LINE:
-                self._enter_tcb(self._raised[0] if self._raised else TriggerKind.BOOT,
-                                resume_ctx)
+                self._enter_tcb(self._raised[0], resume_ctx)
                 return
             if ev.trigger is not None:
                 self._raise_trigger(ev.trigger)
@@ -272,12 +270,11 @@ class Device:
                     raise_irq(st, irq_line)
 
     def _raise_trigger(self, kind: TriggerKind) -> None:
-        if self._raised is not None or NMI_LINE in self.state.pending_irq:
-            return
-        self._raised = (kind, self.state.cycle)
-        # eligible on the very next cycle: the asserting instruction was the
-        # in-flight one
-        self.state.pending_irq[NMI_LINE] = self.state.retired - 1
+        if self._raised is None:
+            self._raised = (kind, self.state.cycle)
+            # eligible on the very next cycle: the asserting instruction was
+            # the in-flight one
+            self.state.pending_irq[NMI_LINE] = self.state.retired - 1
 
     def _enter_tcb(self, kind: TriggerKind, resume_ctx: tuple[int, bool, bool]) -> None:
         """Open a trusted-software session; it consumes any pending trigger."""
@@ -351,33 +348,34 @@ class Device:
         self.wait_started = st.cycle
         self._last_tx = st.cycle
 
-    def _skip_idle_polls(self, channel: Channel, until: int | None) -> None:
-        """Charge, without executing them, the polls before the first one at
-        which something can happen: a frame falls due at either endpoint
-        (the drive loop answers a report after the poll at which it falls
-        due), a retransmission, the best-effort timeout, the next attack or
-        ``until``.  Each skipped poll is charged to ``state.cycle`` and
-        ``wait_cycles`` as an executed idle poll is, so every simulated
-        cycle stays where one executed poll per 50 cycles put it."""
-        attack = self._attacks[-1].at_cycle if self._attacks else None
-        first = self._last_tx + RETRANSMIT_EVERY
-        for t in (channel.next_due(PROVER), channel.next_due(VERIFIER), until,
-                  self._timeout_at(), attack):
-            if t is not None and t < first:
-                first = t
+    def _wait_poll(self, channel: Channel, until: int | None = None) -> None:
+        """One executed poll of the wait loop: ``perfbench`` counts each call
+        as one ``device.wait_polls``.  It charges, with itself, the idle polls
+        before the first one at which something can happen: a frame falls due
+        at either endpoint (the drive loop answers a report after the poll at
+        which it falls due), a retransmission, the best-effort timeout, the
+        next attack or ``until``.  An idle poll costs ``state.cycle`` and
+        ``wait_cycles`` what an executed one does.  The poll then applies due
+        attacks, takes at most one response, and retransmits or times out
+        when due."""
+        st, stats, mode = self.state, self.stats, self.policy.mode
+        # no timeout under the strict policy, nor under best-effort resume
+        # before a response has issued a region (``ar_max`` is 0): the resumed
+        # application would run unattested and unreported
+        timeout = self.wait_started + self.policy.timeout_cycles
+        if mode is _STRICT or (mode is _RESUME and
+                               METADATA.unpack_from(st.dmem, MD_OFF)[2] == 0):
+            timeout = None
         # polls land at cycle + k * WAIT_POLL_CYCLES; the first to reach the
         # earliest due cycle runs, the ones before it are idle
-        idle = (first - self.state.cycle - 1) // WAIT_POLL_CYCLES
-        if idle > 0:
-            self.state.cycle += idle * WAIT_POLL_CYCLES
-            self.stats.wait_cycles += idle * WAIT_POLL_CYCLES
-
-    def _wait_poll(self, channel: Channel) -> None:
-        """One executed poll of the wait loop: apply due attacks, take at
-        most one response, then retransmit or time out when due."""
-        st = self.state
-        st.cycle += WAIT_POLL_CYCLES
-        self.stats.wait_cycles += WAIT_POLL_CYCLES
+        first = self._last_tx + RETRANSMIT_EVERY
+        for t in (channel.next_due(PROVER), channel.next_due(VERIFIER), until,
+                  timeout, self._attacks[-1].at_cycle if self._attacks else None):
+            if t is not None and t < first:
+                first = t
+        polls = max(1, (first - st.cycle - 1) // WAIT_POLL_CYCLES + 1)
+        st.cycle += polls * WAIT_POLL_CYCLES
+        stats.wait_cycles += polls * WAIT_POLL_CYCLES
         if self._attacks:
             self._apply_due_attacks()
             if self.mode is not _WAIT:
@@ -386,47 +384,31 @@ class Device:
         frame = channel.deliver(PROVER, st.cycle)
         if frame is not None:
             st.cycle += AUTH_CYCLES
-            self.stats.wait_cycles += AUTH_CYCLES
+            stats.wait_cycles += AUTH_CYCLES
             try:
                 resp = decode_response(frame)
             except WireError:
                 resp = None
             chal = METADATA.unpack_from(st.dmem, MD_OFF)[0]
             if resp is not None and authenticate_response(self.key, resp, chal):
-                self._complete_session(resp)
+                # a veto during the metadata update has already reset the device
+                if self._tcb_write_metadata(resp.chal, resp.ar_min, resp.ar_max):
+                    if resp.app == 1:
+                        self._exit_tcb()
+                    else:
+                        self._heal()
                 return
-            self.stats.n_rejected_responses += 1
+            stats.n_rejected_responses += 1
 
         if st.cycle - self._last_tx >= RETRANSMIT_EVERY:
             channel.send(VERIFIER, self.reports[-1], st.cycle)
-            self.stats.n_retransmits += 1
+            stats.n_retransmits += 1
             self._last_tx = st.cycle
-        timeout = self._timeout_at()
         if timeout is not None and st.cycle >= timeout:
-            if self.policy.mode is _RESUME:
+            if mode is _RESUME:
                 self._exit_tcb()
             else:
                 self._heal()
-
-    def _timeout_at(self) -> int | None:
-        """The cycle at which the wait gives up, or None when it never does:
-        under the strict policy, and under best-effort resume while the
-        metadata holds no issued region (``ar_max`` is 0 until a response
-        sets it), where a resumed application would run unattested and
-        unreported."""
-        mode = self.policy.mode
-        if mode is _STRICT or (mode is _RESUME and
-                               METADATA.unpack_from(self.state.dmem, MD_OFF)[2] == 0):
-            return None
-        return self.wait_started + self.policy.timeout_cycles
-
-    def _complete_session(self, resp) -> None:
-        if not self._tcb_write_metadata(resp.chal, resp.ar_min, resp.ar_max):
-            return  # a veto fired during the update (should not happen)
-        if resp.app == 1:
-            self._exit_tcb()
-        else:
-            self._heal()
 
     def _tcb_write(self, addr: int, data: bytes) -> bool:
         """The trusted software's one store path: commit an in-TCB store

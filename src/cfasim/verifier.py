@@ -109,7 +109,6 @@ class VerifySession:
     shadow: list[tuple[int, ...]] = field(default_factory=list)  # candidate returns
     cursor: int | None = None
     pending_resume: frozenset[int] = frozenset()  # candidate resume points
-    fresh: bool = True      # the next slice starts a run (FIRST or SINGLE)
     last_src: int | None = None     # src of the previous transfer, for irq attribution
 
     def fresh_run(self) -> None:
@@ -118,7 +117,6 @@ class VerifySession:
         self.cursor = None
         self.pending_resume = frozenset()
         self.last_src = None
-        self.fresh = True
 
 
 class _Walker:
@@ -169,17 +167,18 @@ class _Walker:
         self.cursor = d
         return None
 
-    def _accept_interrupt(self, i: int, s: int, d: int) -> Violation | None:
+    def _accept_interrupt(self, i: int, s: int, d: int,
+                          ins: Instr | None) -> Violation | None:
         """An interrupt acceptance attributed to source ``s`` (the last
-        retired instruction): a jump into the trusted software (``d ==
-        tcb_min``) or into the handler entry ``d``.  Every resume point
-        consistent with the log so far is a candidate (an acceptance directly
-        after a taken conditional is indistinguishable from one after the
-        next not-taken pass; the eventual return or the next slice start
-        disambiguates)."""
+        retired instruction, ``ins`` when the cursor reaches it, else None):
+        a jump into the trusted software (``d == tcb_min``) or into the
+        handler entry ``d``.  Every resume point consistent with the log so
+        far is a candidate (an acceptance directly after a taken conditional
+        is indistinguishable from one after the next not-taken pass; the
+        eventual return or the next slice start disambiguates)."""
         cursor, again = self.cursor, s == self.last_src
         past = (s + INSTR_SIZE) & MASK16
-        op = self.cfg.instrs[s].op if self._reachable(cursor, s) else None
+        op = None if ins is None else ins.op
         if op is None or op in NO_FALLTHROUGH_OPS:
             # only if the previous logged transfer, from ``s``, retired and
             # the interrupt landed on the very next cycle: execution stood at
@@ -210,8 +209,7 @@ class _Walker:
 
     # -- entry processing --
 
-    def first_entry(self, kind: SliceKind, s: int, d: int,
-                    issued_ar: tuple[int, int]) -> Violation | None:
+    def first_entry(self, kind: SliceKind, s: int, d: int) -> Violation | None:
         """Entry 0 adds only what a slice start decides.  A run enters at the
         region start.  The trusted software's exit jump resumes the walk at
         its destination, which within a run must be an announced resume
@@ -219,7 +217,7 @@ class _Walker:
         (a run's call into it, or a return or trigger while execution was
         outside), judged by :meth:`entry` from an ``EXTERNAL`` cursor."""
         fresh = kind in RUN_STARTS
-        if fresh and d != issued_ar[0]:
+        if fresh and d != self.cfg.ar_min:
             return Violation(0, "BadRegionEntry")
         if s == self.lay.tcb_max:
             if not (fresh or self.cfg.in_region(d)):
@@ -251,18 +249,15 @@ class _Walker:
         if self.cursor == EXTERNAL and not cfg.in_region(s):
             return self._enter_external(i, s, d)
 
+        ins = cfg.instrs[s] if self._reachable(self.cursor, s) else None
         # a transfer into the trusted software or a handler entry is an
         # interrupt acceptance, except when it is the taken edge of the very
         # conditional sitting at the source
-        if d == lay.tcb_min or d in cfg.isr_targets:
-            ins = cfg.instrs.get(s)
-            if not (ins is not None and ins.op in (JMP, JZ, JNZ, CALL)
-                    and d == ins.imm and self._reachable(self.cursor, s)):
-                return self._accept_interrupt(i, s, d)
-
-        if not self._reachable(self.cursor, s):
+        if (d == lay.tcb_min or d in cfg.isr_targets) and not (
+                ins is not None and ins.op in (JMP, JZ, JNZ, CALL) and d == ins.imm):
+            return self._accept_interrupt(i, s, d, ins)
+        if ins is None:
             return Violation(i, "BrokenFlow")
-        ins = cfg.instrs[s]
         op = ins.op
 
         if op is JMP or op is JZ or op is JNZ:
@@ -304,7 +299,7 @@ def validate_slice(kind: SliceKind, entries: Sequence[tuple[int, int]], cfg: Cfg
                 return v
             continue
         if i == 0:
-            v = w.first_entry(kind, s, d, session.issued_ar)
+            v = w.first_entry(kind, s, d)
         else:
             v = w.entry(i, s, d)
         if v is not None:
@@ -312,7 +307,7 @@ def validate_slice(kind: SliceKind, entries: Sequence[tuple[int, int]], cfg: Cfg
         w.last_src = s
 
     if kind in RUN_ENDS:
-        if not entries or entries[-1] != (session.issued_ar[1], lay.tcb_min):
+        if not entries or entries[-1] != (cfg.ar_max, lay.tcb_min):
             return Violation(max(0, len(entries) - 1), "BadSliceEnd")
 
     w.commit(session)
@@ -366,8 +361,9 @@ class Verifier:
     def _infer_kind(self, md: Metadata, entries) -> SliceKind:
         """The slice kind from authenticated bytes alone: a slice ends the
         run exactly when its last entry is the region-end jump into the
-        trusted software."""
-        fresh = self.session.fresh
+        trusted software, and starts one when the walk stands where only a
+        fresh run leaves it: at no cursor, with no announced resume point."""
+        fresh = self.session.cursor is None and not self.session.pending_resume
         if entries and entries[-1] == (md.ar_max, self.config.layout.tcb_min):
             return SINGLE if fresh else LAST
         return FIRST if fresh else INTERMEDIATE
@@ -413,8 +409,6 @@ class Verifier:
             # the trigger byte is read only to learn that the device restarted
             if report.trigger in RESTARTS or kind in RUN_ENDS:
                 sess.fresh_run()
-            elif report.entries:
-                sess.fresh = False
         else:
             # the response commands remediation; the device restarts fresh
             sess.fresh_run()

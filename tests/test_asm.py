@@ -79,6 +79,11 @@ def test_code_before_org_rejected():
         assemble("        NOP\n")
 
 
+def test_label_before_org_rejected():
+    with pytest.raises(AsmError, match="label before any .org"):
+        assemble("lab:    NOP\n")
+
+
 @pytest.mark.parametrize("stmt, encoding", [
     ("mov R1 , # 3", "08100300"),
     ("MOV r1, sp", "09180000"),
@@ -99,6 +104,7 @@ def test_accepted_spelling_encodes(stmt, encoding):
     "ADD r1, SP", "MOV SP, r1", "MOV r1, 5", "NOP r1",
     "CALLI 0x9000", "PUSH #1", "POP SP", "MOV r1, r2, r3",
     "MOV r9, r1", "CMP #1, r1", "MOV @r1, #2", "JMP",
+    "JMP lab+", ".org main",
 ])
 def test_malformed_statement_rejected(stmt):
     with pytest.raises(AsmError):

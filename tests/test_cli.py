@@ -84,7 +84,8 @@ def test_run_flag_takes_the_config_key_syntax(capsys):
     ("app = few_branch\ninput = overflw\n", "unknown input kind 'overflw'"),
     ("app = few_branch\nlog-size = 16\n", "unknown config key 'log-size' (valid: app,"),
     ("app = few_branch\ntimer_deadline = 5\n", "unknown config key 'timer_deadline'"),
-], ids=["typo", "case", "no-input-app", "dash-key", "long-key"])
+    ("app = few_branch\nlog_size\n", "bad config line: log_size"),
+], ids=["typo", "case", "no-input-app", "dash-key", "long-key", "no-equals"])
 def test_config_file_rejects_what_it_does_not_understand(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
@@ -126,6 +127,13 @@ def test_config_file_key_lands_in_its_field(tmp_path, key, text, path, want):
     else:
         setattr(expect, name, want)
     assert got == expect
+
+
+def test_strict_policy_key_gives_the_default_policy(tmp_path):
+    cfg_file = tmp_path / "strict.cfg"
+    cfg_file.write_text("policy = strict\n")
+    got = build_scenario_config(load_config_file(str(cfg_file)))
+    assert got.policy == WaitPolicy() and got.policy.mode is PolicyMode.STRICT
 
 
 def test_config_keys_are_listed_in_order():

@@ -857,6 +857,34 @@ class TestAttackSchedule:
         assert second.device.last_reset is ResetReason.DMA_METADATA
 
 
+class TestIrqSchedule:
+    """Only the trigger logic raises the NMI line (line 0).  A schedule that
+    names it, which would ship a report labelled BOOT mid-run, or a line the
+    core does not have, is refused when the device is built."""
+
+    @staticmethod
+    def build(irq_at_retire):
+        from cfasim.device import Device
+        from cfasim.tcb import DeviceKey
+
+        built = assemble(FIXTURES["moderate"].source, entry=LAY.tcb_min)
+        return Device(built.image, LAY, DeviceKey(_derive_key(1)),
+                      events=DeviceEvents(irq_at_retire=irq_at_retire))
+
+    @pytest.mark.parametrize("n", [3, 10, 50])
+    def test_nmi_line_is_refused(self, n):
+        with pytest.raises(ValueError, match="line 0"):
+            self.build({n: (0,)})
+
+    def test_unknown_line_is_refused(self):
+        with pytest.raises(ValueError, match="line 9"):
+            self.build({3: (1,), 5: (9,)})
+
+    def test_maskable_lines_are_accepted(self):
+        dev = self.build({3: tuple(range(1, 8))})
+        assert dev.events.irq_at_retire == {3: tuple(range(1, 8))}
+
+
 class TestCallBudget:
     """The application loop's cost in Python calls, counted with
     ``sys.setprofile`` rather than timed: a delay-loop retirement makes five

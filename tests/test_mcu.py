@@ -5,7 +5,7 @@ import pytest
 from cfasim.asm import assemble
 from cfasim.isa import M_IMM, Instr, Op
 from cfasim.mcu import (METADATA, NMI_LINE, NUM_IRQ_LINES, TIMER, FaultError,
-                        ImageError, LayoutError, MemoryLayout, ProgramImage,
+                        ImageError, LayoutError, MachineError, MemoryLayout, ProgramImage,
                         Segment, _fetch, load_image, raise_irq, render_pmem,
                         reset, step)
 
@@ -75,6 +75,11 @@ class TestLayout:
         with pytest.raises(LayoutError, match="instruction grid"):
             MemoryLayout(tcb_max=0x8FFE)
 
+    @pytest.mark.parametrize("tcb_max", [0x7FFC, 0x10000])
+    def test_tcb_outside_pmem_rejected(self, tcb_max):
+        with pytest.raises(LayoutError, match="TCB outside PMEM"):
+            MemoryLayout(tcb_max=tcb_max)
+
     def test_pmem_past_address_space_rejected(self):
         # pmem_end would be 0x11000, past what a 16-bit address can name
         with pytest.raises(LayoutError, match="16-bit"):
@@ -106,6 +111,12 @@ class TestLoadImage:
         with pytest.raises(ImageError, match="too large"):
             load_image(img, lay)
 
+    def test_segment_between_dmem_and_pmem_rejected(self):
+        lay = MemoryLayout()
+        img = ProgramImage(lay.tcb_min, (Segment(0x5000, b"\x00" * 4),))
+        with pytest.raises(ImageError, match="segment base 0x5000 outside memory"):
+            load_image(img, lay)
+
     def test_render_pmem_rejects_segment_past_pmem_end(self):
         lay = MemoryLayout()
         img = ProgramImage(lay.tcb_min, (Segment(0xFFFE, b"\x00" * 8),))
@@ -126,6 +137,15 @@ class TestLoadImage:
         raw = res.image.to_bytes()
         assert raw[:4] == b"TMCU"
         assert ProgramImage.from_bytes(raw) == res.image
+
+    @pytest.mark.parametrize("keep, message", [
+        (10, "truncated segment header"),   # 8-byte header, 2 of 4 segment-header bytes
+        (-1, "truncated segment data"),
+    ])
+    def test_truncated_image_file_rejected(self, keep, message):
+        raw = assemble("        .org 0x9000\n        NOP\n").image.to_bytes()
+        with pytest.raises(ImageError, match=message):
+            ProgramImage.from_bytes(raw[:keep])
 
 
 class TestStep:
@@ -209,6 +229,19 @@ fn:     RET
         st, _ = boot("        .org 0x9000\n        HALT\n")
         st.pc = 0x9001
         with pytest.raises(FaultError, match="misaligned"):
+            step(st)
+
+    def test_pc_outside_pmem_faults(self):
+        st, _ = boot("        .org 0x9000\n        HALT\n")
+        st.pc = 0x1000          # aligned, but in DMEM
+        with pytest.raises(FaultError, match="pc-outside-pmem"):
+            step(st)
+
+    def test_stepping_a_halted_core_raises(self):
+        st, _ = boot("        .org 0x9000\n        HALT\n")
+        st.pc = 0x9000
+        run_to_halt(st)
+        with pytest.raises(MachineError, match="halted"):
             step(st)
 
     def test_stack_underflow_faults(self):

@@ -4,7 +4,9 @@ Each run below ends with exactly the statistics, final cycle, audit lines,
 device counters and channel trace recorded in ``data/wait_pins.json`` with
 the wait loop that executed every 50-cycle poll.  A wait loop that skips
 idle polls must charge them exactly as executed ones, so nothing here may
-move.  The pins cover lossy channels, both best-effort policies, hardware
+move.  The pins also hold each run's number of executed polls
+(``Device._wait_poll`` calls), which the benchmark counts as
+``device.wait_polls``.  The pins cover lossy channels, both best-effort policies, hardware
 attacks that land inside a long wait, a deadlock, rejected responses and a
 budget that ends mid-wait.
 """
@@ -62,19 +64,34 @@ RUNS = {
 PINS = json.loads((Path(__file__).parent / "data" / "wait_pins.json").read_text())
 
 
-def summary(res) -> dict:
+def spy_polls(monkeypatch) -> list[int]:
+    """Record the cycle of every executed wait poll from here on."""
+    polls = []
+    real = Device._wait_poll
+
+    def counted(self, *args):
+        polls.append(self.cycle)
+        return real(self, *args)
+
+    monkeypatch.setattr(Device, "_wait_poll", counted)
+    return polls
+
+
+def summary(res, polls: list[int]) -> dict:
     dev = res.device
     trace = "\n".join(res.channel.trace).encode()
     return {"kv": res.stats.kv_lines(), "cycle": dev.cycle, "audit": res.audit,
             "retransmits": dev.stats.n_retransmits,
             "rejected": dev.stats.n_rejected_responses,
+            "polls": len(polls),
             "trace_sha256": hashlib.sha256(trace).hexdigest()}
 
 
 def injected_run(monkeypatch):
     """few_branch with two forged copies of the first response: a tampered
     one due before the genuine answer, and a replay due in the second wait
-    (stale by then).  Both must be rejected and change nothing else."""
+    (stale by then).  Both must be rejected and change nothing else.
+    Returns the run and its executed polls."""
     cfg = ScenarioConfig(app="few_branch", seed=8)
     first = next(f for ep, f in run_scenario(cfg).channel.captured if ep == PROVER)
     tampered = bytearray(first)
@@ -83,16 +100,18 @@ def injected_run(monkeypatch):
     chan.inject(PROVER, bytes(tampered), 133_000)   # due 133,200; genuine at 133,512
     chan.inject(PROVER, first, 269_700)             # due 269,900, second wait
     monkeypatch.setattr(scenario, "Channel", lambda policy: chan)
-    return run_scenario(cfg)
+    polls = spy_polls(monkeypatch)
+    return run_scenario(cfg), polls
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_wait_run_is_pinned(name):
-    assert summary(run_scenario(RUNS[name])) == PINS[name]
+def test_wait_run_is_pinned(monkeypatch, name):
+    polls = spy_polls(monkeypatch)
+    assert summary(run_scenario(RUNS[name]), polls) == PINS[name]
 
 
 def test_injected_responses_are_pinned(monkeypatch):
-    got = summary(injected_run(monkeypatch))
+    got = summary(*injected_run(monkeypatch))
     assert got["rejected"] == 2
     assert got == PINS["injected-responses"]
 
@@ -102,14 +121,7 @@ def test_idle_polls_are_skipped(monkeypatch):
     133,112) to the forced interrupt at cycle 250,000: no frame arrives in
     it, so only its retransmissions and the attack need an executed poll,
     not each of its 2,338 50-cycle steps."""
-    polls = []
-    real = Device._wait_poll
-
-    def counted(self, channel):
-        polls.append(self.cycle)
-        return real(self, channel)
-
-    monkeypatch.setattr(Device, "_wait_poll", counted)
+    polls = spy_polls(monkeypatch)
     res = run_scenario(RUNS["irq-in-wait"])
     first_wait = [c for c in polls if c < IRQ_IN_WAIT.at_cycle]
     assert res.device.last_reset is ResetReason.IRQ_IN_TCB

@@ -56,6 +56,11 @@ class TestReportLayout:
         with pytest.raises(WireError, match=f"bad trigger byte {byte}"):
             decode_report(bytes(raw))
 
+    def test_digest_length_enforced(self):
+        report = make_report()
+        with pytest.raises(WireError, match="bad digest length"):
+            encode_report(CfaReport(b"\x11" * 31, report.metadata, report.trigger, ()))
+
     def test_cf_size_entry_count_consistency_enforced(self):
         md = Metadata(0, 0, 0, 3)
         with pytest.raises(WireError):
@@ -71,6 +76,14 @@ class TestResponseLayout:
         assert raw[5:7] == bytes.fromhex("8000")
         assert raw[7:9] == bytes.fromhex("9ffe")
         assert raw[9:] == b"\x22" * 32
+
+    @pytest.mark.parametrize("app, auth, message", [
+        (2, b"\x22" * 32, "app must be 0 or 1"),
+        (1, b"\x22" * 31, "bad auth length"),
+    ])
+    def test_response_fields_enforced(self, app, auth, message):
+        with pytest.raises(WireError, match=message):
+            encode_response(CfaResponse(app, 1, 0x8000, 0x9FFE, auth))
 
     def test_truncated_response_rejected(self):
         with pytest.raises(WireError):
