@@ -104,10 +104,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    seed = _int(args.seed)      # the syntax of `run --seed`
     print(StatsReport.TABLE_HEADER)
     for app in ("few_branch", "moderate", "loop_heavy"):
         for log_size in (512, 1024):
-            cfg = ScenarioConfig(app=app, max_cflog_bytes=log_size, seed=args.seed)
+            cfg = ScenarioConfig(app=app, max_cflog_bytes=log_size, seed=seed)
             print(run_scenario(cfg).stats.table_row())
     return 0
 
@@ -146,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.set_defaults(func=cmd_run)
 
     stats_p = sub.add_parser("stats", help="trigger statistics for the sample apps")
-    stats_p.add_argument("--seed", type=int, default=0)
+    stats_p.add_argument("--seed", default="0")
     stats_p.set_defaults(func=cmd_stats)
 
     asm_p = sub.add_parser("asm", help="assemble a source file into an image")

@@ -6,8 +6,10 @@ Slice validation walks the logged (source, destination) pairs while tracking
 a cursor (the address execution is expected to reach next by straight-line
 flow, or ``EXTERNAL`` outside the region), a shadow stack whose every entry
 holds the candidate return addresses of one call or interrupt, and the
-candidate resume points announced by a trusted-software entry.  Loop-counter
-entries are told apart from transfers by the positional rule of
+candidate resume points announced by a trusted-software entry.  This walk
+state and the CFG it walks live in the prover's :class:`VerifySession`; a
+slice walk advances them in place and restores them on a violation.
+Loop-counter entries are told apart from transfers by the positional rule of
 :func:`cfasim.wire.decode_log`.
 """
 
@@ -99,10 +101,14 @@ class Violation:
         return f"{self.reason}@{self.index}"
 
 
-@dataclass
+@dataclass(slots=True)
 class VerifySession:
-    """Per-prover verifier state carried across reports."""
+    """Per-prover verifier state carried across reports: the challenges, the
+    CFG of the expected binary, and the walk over it.  A slice walk advances
+    the walk fields in place; :func:`validate_slice` restores them when the
+    slice is denied."""
     layout: MemoryLayout
+    cfg: Cfg | None = None
     issued_chal: int = 0
     confirmed_chal: int = 0
     issued_ar: tuple[int, int] = (0, 0)
@@ -118,27 +124,7 @@ class VerifySession:
         self.pending_resume = frozenset()
         self.last_src = None
 
-
-class _Walker:
-    """Working state of one slice validation; committed only on success."""
-
-    __slots__ = ("cfg", "lay", "shadow", "cursor", "pending", "last_src")
-
-    def __init__(self, cfg: Cfg, session: VerifySession):
-        self.cfg = cfg
-        self.lay = session.layout
-        self.shadow = list(session.shadow)
-        self.cursor = session.cursor
-        self.pending = session.pending_resume
-        self.last_src = session.last_src
-
-    def commit(self, session: VerifySession) -> None:
-        session.shadow = self.shadow
-        session.cursor = self.cursor
-        session.pending_resume = self.pending
-        session.last_src = self.last_src
-
-    # -- helpers --
+    # -- walk helpers --
 
     def _loc(self, addr: int) -> int:
         return addr if self.cfg.in_region(addr) else EXTERNAL
@@ -157,7 +143,11 @@ class _Walker:
 
     def _enter_external(self, i: int, s: int, d: int) -> Violation | None:
         """Transfer from unaudited code into the region: a return to the
-        shadow-tracked address, a call to a known entry, or a handler entry."""
+        shadow-tracked address, a call to a known entry, or a handler entry.
+        The trusted software is left only by the exit jump from ``tcb_max``,
+        which :meth:`first_entry` takes, so no other source may lie in it."""
+        if self.layout.in_tcb(s):
+            return Violation(i, "BrokenFlow")
         if self.shadow and d in self.shadow[-1]:
             self.shadow.pop()
         elif d in self.cfg.known_entries or d in self.cfg.isr_targets:
@@ -194,8 +184,8 @@ class _Walker:
         if not resumes:
             return Violation(i, "BrokenFlow")
         cands = frozenset(map(self._loc, resumes))
-        if d == self.lay.tcb_min:
-            self.pending = cands
+        if d == self.layout.tcb_min:
+            self.pending_resume = cands
             self.cursor = None
             return None
         returns = tuple(sorted(cands - {EXTERNAL}))
@@ -219,17 +209,17 @@ class _Walker:
         fresh = kind in RUN_STARTS
         if fresh and d != self.cfg.ar_min:
             return Violation(0, "BadRegionEntry")
-        if s == self.lay.tcb_max:
+        if s == self.layout.tcb_max:
             if not (fresh or self.cfg.in_region(d)):
                 return Violation(0, "BadSliceStart")
-            if not (fresh or d in self.pending):
+            if not (fresh or d in self.pending_resume):
                 return Violation(0, "ResumeMismatch")
-            self.pending = frozenset()
+            self.pending_resume = frozenset()
             self.cursor = d
             return None
-        if not (fresh or self.cursor == EXTERNAL or EXTERNAL in self.pending):
+        if not (fresh or self.cursor == EXTERNAL or EXTERNAL in self.pending_resume):
             return Violation(0, "BadSliceStart")
-        self.pending = frozenset()
+        self.pending_resume = frozenset()
         self.cursor = EXTERNAL
         return self.entry(0, s, d)
 
@@ -242,7 +232,7 @@ class _Walker:
         return None
 
     def entry(self, i: int, s: int, d: int) -> Violation | None:
-        cfg, lay = self.cfg, self.lay
+        cfg = self.cfg
 
         # an in-region source under an EXTERNAL cursor reaches nothing: below
         # it is an acceptance right after the transfer out, or a BrokenFlow
@@ -253,7 +243,7 @@ class _Walker:
         # a transfer into the trusted software or a handler entry is an
         # interrupt acceptance, except when it is the taken edge of the very
         # conditional sitting at the source
-        if (d == lay.tcb_min or d in cfg.isr_targets) and not (
+        if (d == self.layout.tcb_min or d in cfg.isr_targets) and not (
                 ins is not None and ins.op in (JMP, JZ, JNZ, CALL) and d == ins.imm):
             return self._accept_interrupt(i, s, d, ins)
         if ins is None:
@@ -284,34 +274,31 @@ class _Walker:
 
 def validate_slice(kind: SliceKind, entries: Sequence[tuple[int, int]], cfg: Cfg,
                    session: VerifySession) -> Violation | None:
-    """Validate one log slice; on success the session's traversal state is
-    advanced, on violation it is left untouched."""
-    w = _Walker(cfg, session)
-    lay = session.layout
-
+    """Validate one log slice over ``cfg``, which becomes the session's CFG.
+    The walk advances the session in place; on violation its walk fields are
+    restored, so the session is left as it stood before the call."""
+    session.cfg = cfg
+    saved = (list(session.shadow), session.cursor, session.pending_resume,
+             session.last_src)
+    v = None
     for i, (s, d, count) in enumerate(decode_log(entries)):
-        if i and w.cursor is None:
+        if i and session.cursor is None:
             # only the acceptance into the trusted software leaves no cursor
-            return Violation(i, "EntriesAfterTrigger")
-        if count is not None:
-            v = w.counter_entry(i, count)
-            if v is not None:
-                return v
-            continue
-        if i == 0:
-            v = w.first_entry(kind, s, d)
+            v = Violation(i, "EntriesAfterTrigger")
+        elif count is not None:
+            v = session.counter_entry(i, count)
         else:
-            v = w.entry(i, s, d)
+            v = session.first_entry(kind, s, d) if i == 0 else session.entry(i, s, d)
+            session.last_src = s
         if v is not None:
-            return v
-        w.last_src = s
-
-    if kind in RUN_ENDS:
-        if not entries or entries[-1] != (cfg.ar_max, lay.tcb_min):
-            return Violation(max(0, len(entries) - 1), "BadSliceEnd")
-
-    w.commit(session)
-    return None
+            break
+    else:
+        if kind in RUN_ENDS and (not entries
+                                 or entries[-1] != (cfg.ar_max, session.layout.tcb_min)):
+            v = Violation(max(0, len(entries) - 1), "BadSliceEnd")
+    if v is not None:
+        session.shadow, session.cursor, session.pending_resume, session.last_src = saved
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +328,12 @@ class Verifier:
 
     def __init__(self, config: VerifierConfig):
         self.config = config
-        self.session = VerifySession(config.layout)
-        # the expected PMEM and its CFG, whose bounds every response issues;
-        # a configured update replaces both once, at the first deny
+        # the expected PMEM and the session's CFG, whose bounds every
+        # response issues; a configured update replaces both once, at the
+        # first deny
         self.expected_pmem = config.expected_pmem
-        self.graph = build_cfg(config.expected_pmem, config.target_ar,
-                               config.ivt_targets)
+        self.session = VerifySession(config.layout, build_cfg(
+            config.expected_pmem, config.target_ar, config.ivt_targets))
         self._update = None if config.patched_pmem is None else \
             (config.patched_pmem, config.patched_ar or config.target_ar)
         self.audit: list[str] = []
@@ -401,7 +388,7 @@ class Verifier:
         if (md.ar_min, md.ar_max) != sess.issued_ar:
             app, reason = 0, "bad-ar"
         else:
-            violation = validate_slice(kind, report.entries, self.graph, sess)
+            violation = validate_slice(kind, report.entries, sess.cfg, sess)
             if violation is not None:
                 app, reason = 0, str(violation)
 
@@ -415,7 +402,7 @@ class Verifier:
             if self._update is not None:
                 self.expected_pmem, ar = self._update
                 self._update = None
-                self.graph = build_cfg(self.expected_pmem, ar, self.config.ivt_targets)
+                sess.cfg = build_cfg(self.expected_pmem, ar, self.config.ivt_targets)
 
         raw = self._respond(app)
         self._last = (cache_key, raw)
@@ -425,7 +412,7 @@ class Verifier:
     def _respond(self, app: int) -> bytes:
         sess = self.session
         sess.issued_chal += 1
-        ar_min, ar_max = self.graph.ar_min, self.graph.ar_max
+        ar_min, ar_max = sess.cfg.ar_min, sess.cfg.ar_max
         auth = response_auth(self.config.key, sess.issued_chal, ar_min, ar_max, app)
         sess.issued_ar = (ar_min, ar_max)
         return encode_response(CfaResponse(app, sess.issued_chal, ar_min, ar_max, auth))

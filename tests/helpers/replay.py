@@ -11,10 +11,12 @@ from cfasim.verifier import Verifier
 from cfasim.wire import CfaReport, attest_digest, decode_response, encode_report
 
 
-def replay_with_entries(res, index: int, entries) -> int:
+def replay_with_entries(res, index: int, entries, *, reason: bool = False):
     """The ``app`` bit that a fresh verifier, configured as ``res``'s, answers
     to report ``index`` of ``res`` with its log replaced by ``entries`` and
-    MACed again, after the untouched earlier frames."""
+    MACed again, after the untouched earlier frames.  With ``reason``, the
+    verdict's audit reason instead (``ok``, or a violation such as
+    ``BrokenFlow@3``)."""
     config = res.verifier.config
     verifier = Verifier(config)
     for frame in res.device.reports[:index]:
@@ -23,4 +25,6 @@ def replay_with_entries(res, index: int, entries) -> int:
     h = attest_digest(config.key, verifier.expected_pmem, rep.metadata, entries)
     resp = verifier.handle_report(encode_report(
         CfaReport(h, rep.metadata, rep.trigger, tuple(entries))))
+    if reason:
+        return dict(f.split("=", 1) for f in verifier.audit[-1].split())["reason"]
     return decode_response(resp).app

@@ -157,8 +157,9 @@ def test_scenario_rejects_unknown_input_kind():
     (["asm", "{tmp}/missing.asm", "{tmp}/out.tmcu"], "No such file"),
     (["run", "{tmp}/missing.cfg"], "No such file"),
     (["asm", "{tmp}/prog.asm", "{tmp}/out.tmcu", "--entry", "zz"], "invalid literal"),
+    (["stats", "--seed", "zz"], "invalid literal"),
 ], ids=["dis-not-image", "dis-short-header", "dis-missing", "asm-missing",
-        "run-missing", "asm-entry"])
+        "run-missing", "asm-entry", "stats-seed"])
 def test_command_error_is_one_line(tmp_path, capsys, args, message):
     (tmp_path / "notimage.tmcu").write_bytes(b"not an image")
     (tmp_path / "header.tmcu").write_bytes(b"TMCU\x00")
@@ -175,6 +176,11 @@ def test_stats_sweep(capsys):
     assert rc == 0
     lines = [l for l in out.splitlines() if l.strip()]
     assert len(lines) == 7   # header + 3 apps x 2 sizes
+
+
+def test_stats_seed_takes_the_run_syntax(capsys):
+    assert run_cli(["stats", "--seed", "0x1"], capsys) == run_cli(["stats", "--seed", "1"],
+                                                                  capsys)
 
 
 def test_asm_dis_roundtrip(tmp_path, capsys):

@@ -106,11 +106,11 @@ class TestSliceRules:
     def test_violation_leaves_session_untouched(self, pw):
         res, ar, cfg = pw
         s = session(ar)
-        before = (list(s.shadow), s.cursor)
+        before = (list(s.shadow), s.cursor, s.pending_resume, s.last_src)
         entries = benign_single_slice(res.symbols)
         entries[6] = (0x91CC, res.symbols["sense"])
         validate_slice(SliceKind.SINGLE, entries, cfg, s)
-        assert (list(s.shadow), s.cursor) == before
+        assert (list(s.shadow), s.cursor, s.pending_resume, s.last_src) == before
 
 
 CALLI_PROGRAM = """
@@ -165,12 +165,19 @@ class TestSliceViolationTable:
                      Violation(4, "UnknownEdge"), id="entry-from-outside"),
         pytest.param(SliceKind.INTERMEDIATE, EXTERNAL, LEAVE_REGION + [(0x910C, "sense")],
                      Violation(4, "BrokenFlow"), id="source-inside-while-outside"),
+        pytest.param(SliceKind.FIRST, None, [(LAY.tcb_min, "app_main")],
+                     Violation(0, "BrokenFlow"), id="run-entered-from-trusted-software"),
+        pytest.param(SliceKind.INTERMEDIATE, EXTERNAL,
+                     LEAVE_REGION + [(LAY.tcb_max, "getpw")],
+                     Violation(4, "BrokenFlow"), id="entry-from-trusted-software"),
     ])
     def test_password_slices(self, pw, kind, cursor, entries, expect):
         res, ar, cfg = pw
         s = session(ar)
         s.cursor = cursor
+        before = (list(s.shadow), s.cursor, s.pending_resume, s.last_src)
         assert validate_slice(kind, _resolve(entries, res.symbols), cfg, s) == expect
+        assert (list(s.shadow), s.cursor, s.pending_resume, s.last_src) == before
 
     def test_indirect_call_to_unknown_entry(self):
         res = assemble(CALLI_PROGRAM, entry=LAY.tcb_min)
