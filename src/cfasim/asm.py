@@ -122,8 +122,6 @@ class _Pass:
                 continue
             if loc is None:
                 raise AsmError(idx, "code before any .org")
-            if cur_base is None:
-                cur_base = loc
 
             if mnem == ".WORD":
                 for item in rest.split(","):

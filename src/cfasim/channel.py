@@ -40,7 +40,10 @@ class Channel:
     policy: ChannelPolicy = field(default_factory=ChannelPolicy)
 
     def __post_init__(self):
-        self._rng = random.Random(self.policy.seed)
+        pol = self.policy
+        # a lossless channel draws nothing, so it holds no generator state
+        self._rng = random.Random(pol.seed) \
+            if pol.drop_prob or pol.dup_prob or pol.tamper_prob else None
         # per endpoint, a heap of (deliver_at, seq, frame)
         self._queues: dict[str, list] = {PROVER: [], VERIFIER: []}
         self._sent: dict[str, int] = {PROVER: 0, VERIFIER: 0}
@@ -81,8 +84,7 @@ class Channel:
         if pol.blackout_windows and self._blacked_out(at_cycle):
             return
         dup = False
-        if pol.drop_prob or pol.tamper_prob or pol.dup_prob:
-            # a lossless channel draws nothing: no draw could change a frame
+        if self._rng is not None:
             if self._rng.random() < pol.drop_prob:
                 return
             if self._rng.random() < pol.tamper_prob:

@@ -50,7 +50,7 @@ from .rot import Mode, NMI_ACCEPT_BOUND, RotState, on_reset, rot_check
 from .tcb import (AUTH_CYCLES, HEAL_CYCLES, RETRANSMIT_EVERY, WAIT_POLL_CYCLES,
                   DeviceKey, HealAction, PolicyMode, WaitPolicy,
                   authenticate_response, tcb_att)
-from .wire import WireError, decode_response, report_frame
+from .wire import report_frame
 
 TCB_EXIT_CYCLES = 8
 TICK_BURST = 64         # application cycles per tick
@@ -385,15 +385,13 @@ class Device:
         if frame is not None:
             st.cycle += AUTH_CYCLES
             stats.wait_cycles += AUTH_CYCLES
-            try:
-                resp = decode_response(frame)
-            except WireError:
-                resp = None
-            chal = METADATA.unpack_from(st.dmem, MD_OFF)[0]
-            if resp is not None and authenticate_response(self.key, resp, chal):
+            resp = authenticate_response(self.key, frame,
+                                         METADATA.unpack_from(st.dmem, MD_OFF)[0])
+            if resp is not None:
+                app, chal, ar_min, ar_max = resp
                 # a veto during the metadata update has already reset the device
-                if self._tcb_write_metadata(resp.chal, resp.ar_min, resp.ar_max):
-                    if resp.app == 1:
+                if self._tcb_write_metadata(chal, ar_min, ar_max):
+                    if app == 1:
                         self._exit_tcb()
                     else:
                         self._heal()

@@ -66,7 +66,7 @@ class TriggerKind(enum.IntEnum):
     VIOLATION = 5
 
 
-@dataclass
+@dataclass(slots=True)
 class Metadata:
     """Decoded view of the protected metadata record."""
     chal: int = 0

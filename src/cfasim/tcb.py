@@ -19,7 +19,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .mcu import SLOT
-from .wire import CfaResponse, PmemMac, pack_entries, response_auth
+from .wire import (RESPONSE_HEADER, RESPONSE_LEN, PmemMac, pack_entries,
+                   response_auth)
 
 # Cycle-cost model.  Attestation is dominated by MAC-ing program memory, so
 # its cost scales with the measured byte count; the rest are flat charges.
@@ -84,9 +85,16 @@ def tcb_att(key: DeviceKey, pmem: bytes | bytearray, md: bytes | bytearray,
     return h, cost
 
 
-def authenticate_response(key: DeviceKey, resp: CfaResponse, stored_chal: int) -> bool:
-    """out bit of the response check: fresh challenge and a valid tag."""
-    if resp.chal <= stored_chal or resp.app not in (0, 1):
-        return False
-    expect = response_auth(key._k, resp.chal, resp.ar_min, resp.ar_max, resp.app)
-    return hmac.compare_digest(expect, resp.auth)
+def authenticate_response(key: DeviceKey, frame: bytes,
+                          stored_chal: int) -> tuple[int, int, int, int] | None:
+    """The response check on a response frame: its length, a fresh
+    challenge, an ``app`` bit and a valid tag.  Returns the authenticated
+    ``(app, chal, ar_min, ar_max)``, or None when the check fails."""
+    if len(frame) != RESPONSE_LEN:
+        return None
+    resp = RESPONSE_HEADER.unpack_from(frame)
+    app, chal, ar_min, ar_max = resp
+    if chal <= stored_chal or app not in (0, 1):
+        return None
+    expect = response_auth(key._k, chal, ar_min, ar_max, app)
+    return resp if hmac.compare_digest(expect, frame[RESPONSE_HEADER.size:]) else None

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from .isa import (CALL, CALLI, INSTR_SIZE, JMP, JNZ, JZ, M_IMM, MOV,
                   NO_FALLTHROUGH_OPS, RET, RETI, WORD, DecodeError, Instr,
                   decode_word)
-from .mcu import MemoryLayout
-from .monitor import Metadata, TriggerKind
-from .wire import (CfaResponse, PmemMac, WireError, decode_log, decode_report,
-                   encode_response, frame_covered, response_auth)
+from .mcu import SLOT, MemoryLayout
+from .monitor import TriggerKind
+from .wire import (MAC_LEN, REPORT_FIXED, RESPONSE_HEADER, TRIGGER_AT, PmemMac,
+                   WireError, decode_log, frame_covered, report_metadata,
+                   response_auth)
 
 EXTERNAL = -1   # cursor value while execution is outside the region: no address
 
@@ -345,13 +346,13 @@ class Verifier:
 
     # -- helpers --
 
-    def _infer_kind(self, md: Metadata, entries) -> SliceKind:
+    def _infer_kind(self, ar_max: int, entries) -> SliceKind:
         """The slice kind from authenticated bytes alone: a slice ends the
         run exactly when its last entry is the region-end jump into the
         trusted software, and starts one when the walk stands where only a
         fresh run leaves it: at no cursor, with no announced resume point."""
         fresh = self.session.cursor is None and not self.session.pending_resume
-        if entries and entries[-1] == (md.ar_max, self.config.layout.tcb_min):
+        if entries and entries[-1] == (ar_max, self.config.layout.tcb_min):
             return SINGLE if fresh else LAST
         return FIRST if fresh else INTERMEDIATE
 
@@ -360,41 +361,45 @@ class Verifier:
                           f"reason={reason} entries={entries}")
 
     def handle_report(self, frame: bytes) -> bytes | None:
+        """Answer one report frame, read in place: the metadata once the
+        frame's shape is checked, the entries once the MAC and challenge
+        checks pass.  None when the frame is dropped."""
         sess = self.session
         try:
-            report = decode_report(frame)
+            chal, ar_min, ar_max, cf_size = report_metadata(frame)
         except WireError:
             self._audit("?", 0, "bad-frame", 0)
             return None
-        md = report.metadata
 
-        cache_key = (md.chal, report.h)
+        h = frame[:MAC_LEN]
+        cache_key = (chal, h)
         if self._last is not None and self._last[0] == cache_key:
             cached = self._last[1]
-            self._audit("cached", cached[0], "resend", md.cf_size)
+            self._audit("cached", cached[0], "resend", cf_size)
             return cached
 
         expect_h = self._att.digest(self.expected_pmem, frame_covered(frame))
-        if expect_h != report.h:
-            self._audit("?", 0, "bad-mac", md.cf_size)
+        if expect_h != h:
+            self._audit("?", 0, "bad-mac", cf_size)
             return None
-        if md.chal not in (sess.confirmed_chal, sess.issued_chal):
-            self._audit("?", 0, "stale-chal", md.cf_size)
+        if chal not in (sess.confirmed_chal, sess.issued_chal):
+            self._audit("?", 0, "stale-chal", cf_size)
             return None
-        sess.confirmed_chal = md.chal
+        sess.confirmed_chal = chal
 
-        kind = self._infer_kind(md, report.entries)
+        entries = tuple(SLOT.iter_unpack(frame[REPORT_FIXED:]))
+        kind = self._infer_kind(ar_max, entries)
         app, reason = 1, "ok"
-        if (md.ar_min, md.ar_max) != sess.issued_ar:
+        if (ar_min, ar_max) != sess.issued_ar:
             app, reason = 0, "bad-ar"
         else:
-            violation = validate_slice(kind, report.entries, sess.cfg, sess)
+            violation = validate_slice(kind, entries, sess.cfg, sess)
             if violation is not None:
                 app, reason = 0, str(violation)
 
         if app == 1:
             # the trigger byte is read only to learn that the device restarted
-            if report.trigger in RESTARTS or kind in RUN_ENDS:
+            if frame[TRIGGER_AT] in RESTARTS or kind in RUN_ENDS:
                 sess.fresh_run()
         else:
             # the response commands remediation; the device restarts fresh
@@ -406,7 +411,7 @@ class Verifier:
 
         raw = self._respond(app)
         self._last = (cache_key, raw)
-        self._audit(kind.value, app, reason, md.cf_size)
+        self._audit(kind.value, app, reason, cf_size)
         return raw
 
     def _respond(self, app: int) -> bytes:
@@ -415,4 +420,4 @@ class Verifier:
         ar_min, ar_max = sess.cfg.ar_min, sess.cfg.ar_max
         auth = response_auth(self.config.key, sess.issued_chal, ar_min, ar_max, app)
         sess.issued_ar = (ar_min, ar_max)
-        return encode_response(CfaResponse(app, sess.issued_chal, ar_min, ar_max, auth))
+        return RESPONSE_HEADER.pack(app, sess.issued_chal, ar_min, ar_max) + auth

@@ -20,6 +20,13 @@ Response frame (41 bytes):
 All integers are big-endian.  Metadata and entries are the ``METADATA`` and
 ``SLOT`` records of :mod:`cfasim.mcu`, byte for byte as stored in protected
 memory; every length and offset here derives from them and ``RESPONSE_HEADER``.
+
+Both endpoints read frames in place: the verifier checks a report's shape
+with :func:`report_metadata`, and the prover checks a response in
+``tcb.authenticate_response``.  :class:`CfaReport` is the run's record of a
+report (``ScenarioResult.reports``), made once per kept frame by
+:func:`decode_report`; :class:`CfaResponse` and the encoders serve tests
+and tools.
 """
 
 from __future__ import annotations
@@ -115,7 +122,7 @@ def pack_entries(entries: Iterable[tuple[int, int]]) -> bytes:
     return b"".join(SLOT.pack(src, dest) for src, dest in entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CfaReport:
     h: bytes
     metadata: Metadata
@@ -147,18 +154,29 @@ def encode_report(r: CfaReport) -> bytes:
     return report_frame(r.h, r.metadata.pack(), r.trigger, pack_entries(r.entries))
 
 
-def decode_report(raw: bytes) -> CfaReport:
+def report_metadata(raw: bytes) -> tuple[int, int, int, int]:
+    """The metadata ``(chal, ar_min, ar_max, cf_size)`` of a report frame,
+    read in place once the frame's length, trigger byte and length against
+    ``cf_size`` are checked, in that order; ``WireError`` when one fails."""
     if len(raw) < REPORT_FIXED:
         raise WireError("report too short")
-    h = raw[:MAC_LEN]
-    md = Metadata(*METADATA.unpack_from(raw, MAC_LEN))
-    trigger = _TRIGGERS.get(raw[TRIGGER_AT])
-    if trigger is None:
+    md = METADATA.unpack_from(raw, MAC_LEN)
+    if raw[TRIGGER_AT] not in _TRIGGERS:
         raise WireError(f"bad trigger byte {raw[TRIGGER_AT]}")
-    if len(raw) != REPORT_FIXED + SLOT.size * md.cf_size:
+    if len(raw) != REPORT_FIXED + SLOT.size * md[3]:
         raise WireError("report length does not match cf_size")
+    return md
+
+
+def decode_report(raw: bytes, pairs: dict | None = None) -> CfaReport:
+    """The record of a report frame.  With ``pairs``, each entry equal to
+    one already in that dict is that dict's tuple, so records decoded
+    against one dict share what repeats."""
+    md = report_metadata(raw)
     entries = tuple(SLOT.iter_unpack(raw[REPORT_FIXED:]))
-    return CfaReport(h, md, trigger, entries)
+    if pairs is not None:
+        entries = tuple(map(pairs.setdefault, entries, entries))
+    return CfaReport(raw[:MAC_LEN], Metadata(*md), _TRIGGERS[raw[TRIGGER_AT]], entries)
 
 
 def encode_response(r: CfaResponse) -> bytes:

@@ -236,22 +236,21 @@ def test_criterion_6_protocol_robustness():
     losses; strict policy keeps a blacked-out device frozen."""
     key_raw = _derive_key(6)
     key = DeviceKey(key_raw)
-    resp = CfaResponse(1, 10, 0x9000, 0x9FFC,
-                       response_auth(key_raw, 10, 0x9000, 0x9FFC, 1))
-    assert authenticate_response(key, resp, 9)
+    raw = encode_response(CfaResponse(1, 10, 0x9000, 0x9FFC,
+                                      response_auth(key_raw, 10, 0x9000, 0x9FFC, 1)))
+    assert authenticate_response(key, raw, 9)
 
     rng = random.Random(6)
-    raw = encode_response(resp)
     rejected = 0
     for _ in range(1000):
-        rejected += not authenticate_response(key, resp, 10)   # replay: chal consumed
+        rejected += not authenticate_response(key, raw, 10)   # replay: chal consumed
     assert rejected == 1000
     rejected = 0
     for _ in range(1000):
         tam = bytearray(raw)
         pos = rng.randrange(len(tam))
         tam[pos] ^= 1 + rng.randrange(255)
-        rejected += not authenticate_response(key, decode_response(bytes(tam)), 9)
+        rejected += not authenticate_response(key, bytes(tam), 9)
     assert rejected == 1000
 
     lossy = run_scenario(ScenarioConfig(app="few_branch",

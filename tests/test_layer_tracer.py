@@ -47,3 +47,17 @@ def test_tracer_counts_one_call_per_record_and_retirement():
     assert tracer.counts["mcu.instr_retired"] == res.device.state.retired
     assert sum(b.inst is not None for b in res.device.trace) \
         > res.device.state.retired > 0
+
+
+def test_round_trip_decodes_each_report_once():
+    """Per report, the wire layer is entered four times: ``pack_entries``
+    for the measurement, ``response_auth`` on each side, and the one
+    ``decode_report`` of the run's record.  The verifier reads the frame in
+    place and the prover authenticates the response frame itself, so a
+    second decode of either frame fails here."""
+    layers = load_layers()
+    with layers.LayerTracer() as tracer:
+        res = run_scenario(ScenarioConfig(app="few_branch"))
+    n = len(res.device.reports)
+    assert n == tracer.counts["verifier.reports_received"] == 2
+    assert tracer.calls["wire"] <= 4 * n

@@ -326,6 +326,37 @@ def test_device_keeps_each_report_as_the_frame_it_sends(run):
     assert all(encode_report(r) == f for r, f in zip(res.reports, frames))
 
 
+STATS_RUNS = [ScenarioConfig(app=app, max_cflog_bytes=log, seed=seed)
+              for seed in (0, 1) for app in ("few_branch", "moderate", "loop_heavy")
+              for log in (512, 1024)]
+
+
+@pytest.mark.parametrize("cfg", STATS_RUNS,
+                         ids=lambda c: f"{c.app}-{c.max_cflog_bytes}-seed{c.seed}")
+def test_run_record_decodes_every_frame(cfg):
+    """``ScenarioResult.reports`` is the record ``decode_report`` makes of
+    each frame the device kept, over the ``cfasim stats`` configurations."""
+    from cfasim.wire import decode_report
+
+    res = run_scenario(cfg)
+    assert res.reports == [decode_report(f) for f in res.device.reports]
+
+
+def test_run_record_shares_equal_entries():
+    """Across one run's record, equal log entries are one tuple, and its
+    records keep no per-instance dict."""
+    res = run_scenario(ScenarioConfig(app="loop_heavy", max_cflog_bytes=16,
+                                      cycle_budget=10**9))
+    assert res.outcome is Outcome.COMPLETED
+    entries = [pair for rep in res.reports for pair in rep.entries]
+    first = {}
+    for pair in entries:
+        assert first.setdefault(pair, pair) is pair
+    assert len(first) < len(entries) / 100    # the log repeats a few edges
+    rep = res.reports[0]
+    assert not hasattr(rep, "__dict__") and not hasattr(rep.metadata, "__dict__")
+
+
 def test_retransmission_resends_the_kept_frame():
     from cfasim.channel import VERIFIER, ChannelPolicy
 

@@ -6,7 +6,7 @@ import pytest
 from cfasim.monitor import Metadata
 from cfasim.tcb import (DeviceKey, PolicyMode, WaitPolicy, authenticate_response,
                         tcb_att)
-from cfasim.wire import CfaResponse, response_auth
+from cfasim.wire import CfaResponse, encode_response, response_auth
 
 
 def hmac_sha256_reference(key: bytes, msg: bytes) -> bytes:
@@ -66,14 +66,16 @@ class TestAtt:
         assert c2 > c1
 
 
-def make_response(key: bytes, app=1, chal=1, ar=(0x9000, 0x9FFC)):
-    return CfaResponse(app, chal, ar[0], ar[1],
-                       response_auth(key, chal, ar[0], ar[1], app))
+def make_response(key: bytes, app=1, chal=1, ar=(0x9000, 0x9FFC)) -> bytes:
+    return encode_response(CfaResponse(app, chal, ar[0], ar[1],
+                                       response_auth(key, chal, ar[0], ar[1], app)))
 
 
 class TestAuthenticate:
     def test_valid_response_accepted(self):
         assert authenticate_response(KEY, make_response(bytes(32)), 0)
+        assert authenticate_response(KEY, make_response(bytes(32), app=0, chal=7),
+                                     6) == (0, 7, 0x9000, 0x9FFC)
 
     def test_stale_challenge_rejected(self):
         resp = make_response(bytes(32), chal=5)
@@ -85,12 +87,17 @@ class TestAuthenticate:
         assert not authenticate_response(KEY, resp, 0)
 
     def test_any_tampered_byte_rejected(self):
-        from cfasim.wire import decode_response, encode_response
-        raw = bytearray(encode_response(make_response(bytes(32))))
+        raw = bytearray(make_response(bytes(32)))
         for pos in range(len(raw)):
             bad = bytearray(raw)
             bad[pos] ^= 0x40
-            assert not authenticate_response(KEY, decode_response(bytes(bad)), 0)
+            assert not authenticate_response(KEY, bytes(bad), 0)
+
+    def test_frame_of_another_length_rejected(self):
+        raw = make_response(bytes(32))
+        assert authenticate_response(KEY, raw, 0)
+        assert authenticate_response(KEY, raw[:-1], 0) is None
+        assert authenticate_response(KEY, raw + b"\x00", 0) is None
 
 
 class TestKeyHandling:
