@@ -177,7 +177,6 @@ fin:    NOP
 
 @dataclass
 class Fixture:
-    name: str
     source: str
     ar_labels: tuple[str, str]
     input_words: tuple[int, ...] = ()
@@ -192,10 +191,10 @@ def overflow_input(symbols: dict[str, int]) -> tuple[int, ...]:
 
 
 FIXTURES = {
-    "few_branch": Fixture("few_branch", FEW_BRANCH, ("main", "fin")),
-    "moderate": Fixture("moderate", MODERATE, ("main", "fin")),
-    "loop_heavy": Fixture("loop_heavy", LOOP_HEAVY, ("main", "fin")),
-    "password": Fixture("password", PASSWORD, ("app_main", "done"),
+    "few_branch": Fixture(FEW_BRANCH, ("main", "fin")),
+    "moderate": Fixture(MODERATE, ("main", "fin")),
+    "loop_heavy": Fixture(LOOP_HEAVY, ("main", "fin")),
+    "password": Fixture(PASSWORD, ("app_main", "done"),
                         input_words=PW_WORDS, patched_source=PASSWORD_PATCHED),
 }
 

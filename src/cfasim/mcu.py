@@ -125,15 +125,6 @@ class MemoryLayout:
     def in_tcb(self, a: int) -> bool:
         return self.tcb_min <= a <= self.tcb_max
 
-    def in_metadata(self, a: int) -> bool:
-        return self.metadata_base <= a < self.metadata_base + METADATA.size
-
-    def in_cflog(self, a: int) -> bool:
-        return self.cflog_base <= a < self.cflog_base + self.cflog_size
-
-    def in_timer(self, a: int) -> bool:
-        return self.timer_reg <= a < self.timer_reg + TIMER.size
-
     def fits_app_region(self, image: ProgramImage) -> bool:
         """Every segment of ``image`` lies in ``[s_base, pmem_end)``: the
         one region a heal may rewrite, so the one an update image may fill."""
@@ -146,6 +137,9 @@ class MemoryLayout:
 MD_OFF = MemoryLayout.metadata_base - MemoryLayout.dmem_base
 LOG_OFF = MemoryLayout.cflog_base - MemoryLayout.dmem_base
 TIMER_OFF = MemoryLayout.timer_reg - MemoryLayout.dmem_base
+# The largest loop counter a SLOT holds: its high half stays below pmem_base,
+# where no transfer source lies, so a counter is never read as a transfer.
+CTR_MAX = (MemoryLayout.pmem_base << 16) - 1
 
 
 @dataclass(frozen=True)
@@ -372,13 +366,11 @@ def acceptable_line(state: McuState) -> int | None:
 
 
 def _fetch(state: McuState) -> Instr:
-    """The instruction at pc, decoded once per PMEM content (and, through
-    ``decode_word``, once per instruction word).  Only a valid instruction
-    is cached, so a faulting pc faults on every fetch."""
+    """Decode the instruction at pc and cache it in ``state.decoded``, the
+    table ``Device._run`` probes before calling this (``decode_word``
+    decodes each word once).  Only a valid instruction is cached, so a
+    faulting pc faults on every fetch."""
     pc = state.pc
-    ins = state.decoded.get(pc)
-    if ins is not None:
-        return ins
     if pc % 2:
         raise FaultError("misaligned-pc")
     pmem = state.pmem

@@ -11,9 +11,9 @@ Five cooperating sub-monitors are evaluated against every bus record:
 * loop monitor      - compresses repeated backward jumps into one entry plus
                       an iteration counter; the counter is rewritten in the
                       slot at the fill level and committed when the loop is
-                      left.  The counter saturates at ``(pmem_base << 16)
-                      - 1`` so ``wire.decode_log`` still tells it from a
-                      transfer; a further repeat commits it as a new pair
+                      left.  The counter saturates at ``mcu.CTR_MAX`` so
+                      ``wire.decode_log`` still tells it from a transfer; a
+                      further repeat commits it as a new pair
 * logger            - appends (source, destination) pairs to the protected
                       log region in data memory: each transfer with an end
                       in the attested region, and each acceptance whose
@@ -37,8 +37,8 @@ import struct
 from dataclasses import dataclass
 
 from .isa import INSTR_SIZE, BRANCH_OPS, JNZ, JZ
-from .mcu import (FLUSH_RESERVE, LOG_OFF, MD_CF_SIZE, MD_OFF, METADATA, SLOT,
-                  TIMER, TIMER_OFF, MemoryLayout, SignalBus)
+from .mcu import (CTR_MAX, FLUSH_RESERVE, LOG_OFF, MD_CF_SIZE, MD_OFF, METADATA,
+                  SLOT, TIMER, TIMER_OFF, MemoryLayout, SignalBus)
 
 
 class ResetReason(enum.Enum):
@@ -98,8 +98,6 @@ def boundary_check(bus: SignalBus, layout: MemoryLayout) -> ResetReason | None:
     """Veto writes that would corrupt the log or, from untrusted code or DMA,
     the metadata record."""
     w, dma = bus.w_en, bus.dma_en
-    if not (w or dma):
-        return None
     log_lo = layout.cflog_base
     log_hi = log_lo + layout.cflog_size
     if (w and log_lo <= bus.d_addr < log_hi) or (dma and log_lo <= bus.dma_addr < log_hi):
@@ -129,22 +127,6 @@ def timer_write_check(bus: SignalBus, layout: MemoryLayout) -> ResetReason | Non
 
 
 # ---------------------------------------------------------------------------
-# Loop monitor
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LoopState:
-    src_loop: int | None = None
-    dest_loop: int | None = None
-    ctr: int = 1
-
-    def reset(self) -> None:
-        self.src_loop = None
-        self.dest_loop = None
-        self.ctr = 1
-
-
-# ---------------------------------------------------------------------------
 # The composite monitor
 # ---------------------------------------------------------------------------
 
@@ -169,19 +151,20 @@ _CF_SIZE_OFF = MD_OFF + MD_CF_SIZE
 
 
 class CfaMonitor:
-    """Stateful composition of the sub-monitors over one device's memory."""
+    """Stateful composition of the sub-monitors over one device's memory.
+    The loop monitor's state is the last logged jump (``src_loop``,
+    ``dest_loop``) and its iteration counter ``ctr``."""
 
-    __slots__ = ("dmem", "loop", "timer_count", "_tcb_max", "_max_entries",
-                 "_flush_level", "_ctr_max")
+    __slots__ = ("dmem", "src_loop", "dest_loop", "ctr", "timer_count", "_tcb_max",
+                 "_max_entries", "_flush_level")
 
     def __init__(self, dmem: bytearray, layout: MemoryLayout):
         self.dmem = dmem
-        self.loop = LoopState()
+        self._clear_loop()
         self.timer_count = 0     # cycles until the periodic trigger; 0 = disarmed
         self._tcb_max = layout.tcb_max
         self._max_entries = layout.max_entries
         self._flush_level = layout.max_entries - FLUSH_RESERVE
-        self._ctr_max = (layout.pmem_base << 16) - 1
 
     # metadata field helpers (big-endian in data memory, identical to the wire)
 
@@ -192,6 +175,10 @@ class CfaMonitor:
     def _set_cf_size(self, v: int) -> None:
         _CF_SIZE.pack_into(self.dmem, _CF_SIZE_OFF, v)
 
+    def _clear_loop(self) -> None:
+        self.src_loop = self.dest_loop = None
+        self.ctr = 1
+
     def arm_timer(self) -> None:
         self.timer_count = TIMER.unpack_from(self.dmem, TIMER_OFF)[0]
 
@@ -199,7 +186,7 @@ class CfaMonitor:
         """Device reset: sequential monitor state clears; the log and its
         metadata-held size survive so the post-reset report still carries
         everything captured before the reset."""
-        self.loop.reset()
+        self._clear_loop()
         self.timer_count = 0
 
     # the per-record pipeline
@@ -216,7 +203,7 @@ class CfaMonitor:
         if pc == tcb_max and op is not None:
             cf_size = 0
             self._set_cf_size(0)
-            self.loop.reset()
+            self._clear_loop()
 
         # Branch monitor: the record is a taken transfer when it accepts an
         # interrupt or retires a branch instruction, except a conditional
@@ -227,17 +214,16 @@ class CfaMonitor:
             # the source of an acceptance is the last retired instruction
             src = pc if op is not None else bus.pc_prev
             dest = bus.pc_next
-            loop = self.loop
-            if src == loop.src_loop and dest == loop.dest_loop \
-                    and loop.ctr < self._ctr_max and cf_size < self._max_entries:
+            if src == self.src_loop and dest == self.dest_loop \
+                    and self.ctr < CTR_MAX and cf_size < self._max_entries:
                 # a repeat of the last logged jump: count it in the
                 # uncommitted slot at the fill level.  The pair passed the
                 # region test when it was logged, and the bounds change only
                 # inside a session, whose exit (or reset) clears the loop
                 # state first.
-                loop.ctr += 1
+                ctr = self.ctr = self.ctr + 1
                 SLOT.pack_into(self.dmem, LOG_OFF + SLOT.size * cf_size,
-                               loop.ctr >> 16, loop.ctr & 0xFFFF)
+                               ctr >> 16, ctr & 0xFFFF)
             else:
                 entry, cf_size = self._log_transfer(bus, src, dest, ar_min, ar_max,
                                                     cf_size)
@@ -265,18 +251,17 @@ class CfaMonitor:
         level after the record.  It is logged when ``src``, ``dest`` or
         ``bus.pc`` lies in the region: a branch's source, or an acceptance's
         interrupted address on any line."""
-        loop = self.loop
         if cf_size >= self._max_entries \
                 or not (ar_min <= src <= ar_max or ar_min <= dest <= ar_max
                         or ar_min <= bus.pc <= ar_max):
             return None, cf_size
         entry = None
-        if loop.ctr > 1:
+        if self.ctr > 1:
             # loop left, or its counter saturated: commit the counter slot,
             # then log this transfer
             cf_size += 1
-            loop.ctr = 1
-        loop.src_loop, loop.dest_loop = src, dest
+            self.ctr = 1
+        self.src_loop, self.dest_loop = src, dest
         if cf_size < self._max_entries:
             SLOT.pack_into(self.dmem, LOG_OFF + SLOT.size * cf_size, src, dest)
             cf_size += 1

@@ -37,7 +37,7 @@ import struct
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .mcu import METADATA, SLOT, MemoryLayout
+from .mcu import CTR_MAX, METADATA, SLOT
 from .monitor import Metadata, TriggerKind
 
 MAC_LEN = 32
@@ -105,12 +105,12 @@ def response_auth(key: bytes, chal: int, ar_min: int, ar_max: int, app: int) -> 
 def decode_log(entries):
     """Yield ``(src, dest, count)`` for each log entry: ``count`` is None for
     a transfer and the iteration count of a loop-counter entry.  Counters are
-    recognised by position: one follows a backward jump, its high half lies
-    below ``MemoryLayout.pmem_base`` (where no transfer source can, in any
-    layout), and a counter never follows a counter."""
+    recognised by position: one follows a backward jump, it is at most
+    ``mcu.CTR_MAX`` (its high half lies below PMEM, where no transfer source
+    can, in any layout), and a counter never follows a counter."""
     prev = None   # the previous entry, when it was a transfer
     for src, dest in entries:
-        if prev is not None and prev[1] <= prev[0] and src < MemoryLayout.pmem_base:
+        if prev is not None and prev[1] <= prev[0] and src <= CTR_MAX >> 16:
             yield src, dest, (src << 16) | dest
             prev = None
         else:

@@ -12,6 +12,7 @@ from helpers.progen import SMALL_LAYOUT
 
 from cfasim.asm import assemble
 from cfasim.device import AttackEvent, DeviceEvents
+from cfasim.mcu import METADATA, TIMER
 from cfasim.monitor import TriggerKind
 from cfasim.scenario import decompress_entries, run_image
 
@@ -46,6 +47,9 @@ def attack_program(seed: int) -> tuple[str, bool]:
 
 def test_randomized_write_attacks_never_corrupt_protected_state():
     lay = SMALL_LAYOUT
+    cflog = range(lay.cflog_base, lay.cflog_base + lay.cflog_size)
+    metadata = range(lay.metadata_base, lay.metadata_base + METADATA.size)
+    timer = range(lay.timer_reg, lay.timer_reg + TIMER.size)
     attacked = 0
     for seed in range(25):
         src, hits = attack_program(seed)
@@ -68,14 +72,13 @@ def test_randomized_write_attacks_never_corrupt_protected_state():
         # committed records never write protected state from outside the TCB
         for bus in dev.trace:
             if bus.w_en:
-                assert not lay.in_cflog(bus.d_addr)
-                if lay.in_metadata(bus.d_addr) or lay.in_timer(bus.d_addr):
+                assert bus.d_addr not in cflog
+                if bus.d_addr in metadata or bus.d_addr in timer:
                     assert lay.in_tcb(bus.pc)
                 assert not lay.in_pmem(bus.d_addr)
             if bus.dma_en:
-                assert not (lay.in_cflog(bus.dma_addr)
-                            or lay.in_metadata(bus.dma_addr)
-                            or lay.in_timer(bus.dma_addr))
+                assert not (bus.dma_addr in cflog or bus.dma_addr in metadata
+                            or bus.dma_addr in timer)
 
         if hits:
             attacked += 1

@@ -7,7 +7,7 @@ from cfasim.apps import FIXTURES
 from cfasim.asm import assemble
 from cfasim.channel import Channel, ChannelPolicy
 from cfasim.device import AttackEvent, DeviceEvents
-from cfasim.mcu import MemoryLayout
+from cfasim.mcu import METADATA, TIMER, MemoryLayout
 from cfasim.monitor import ResetReason, TriggerKind
 from cfasim.scenario import (Outcome, ScenarioConfig, run_image, run_scenario,
                              _derive_key)
@@ -380,8 +380,9 @@ class TestMetadataUpdatePath:
         res = run_scenario(ScenarioConfig(app="moderate", max_cflog_bytes=512,
                                           keep_trace=True))
         lay = res.device.layout
+        metadata = range(lay.metadata_base, lay.metadata_base + METADATA.size)
         for bus in res.device.trace:
-            if bus.w_en and lay.in_metadata(bus.d_addr):
+            if bus.w_en and bus.d_addr in metadata:
                 assert lay.in_tcb(bus.pc)
 
     def test_stored_challenge_tracks_responses(self):
@@ -567,8 +568,10 @@ class TestTrustedSoftwareRecords:
 
         tcb = [b for b in res.device.trace if lay.in_tcb(b.pc)]
         stores = [b for b in tcb if b.w_en]
-        md_stores = [b for b in stores if lay.in_metadata(b.d_addr)]
-        timer_stores = [b for b in stores if lay.in_timer(b.d_addr)]
+        metadata = range(lay.metadata_base, lay.metadata_base + METADATA.size)
+        timer = range(lay.timer_reg, lay.timer_reg + TIMER.size)
+        md_stores = [b for b in stores if b.d_addr in metadata]
+        timer_stores = [b for b in stores if b.d_addr in timer]
         pmem_stores = [b for b in stores if lay.in_pmem(b.d_addr)]
         jumps = [b for b in tcb if b.pc == lay.tcb_max and b.inst is not None]
         exits = [b for b in jumps if b.pc_next != lay.tcb_min]

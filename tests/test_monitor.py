@@ -211,28 +211,36 @@ class TestLoopMonitor:
         mon, lay = fresh_monitor(ar=(0x9000, 0xA0FC))
         ev = drive_loop(mon, 0xA010, 0xA004, 1)[0]
         assert ev.entry == (0xA010, 0xA004)
-        assert mon.cf_size == 1 and mon.loop.ctr == 1
-        assert mon.loop.src_loop == 0xA010
+        assert mon.cf_size == 1
+        # no counter yet: the slot at the fill level is untouched
+        assert read_log_entries(mon.dmem, 2)[1] == (0, 0)
+        # the jump is latched: a repeat counts in that slot instead of logging
+        assert drive_loop(mon, 0xA010, 0xA004, 1)[0].entry is None
+        assert [c for _, _, c in decode_log(read_log_entries(mon.dmem, 2))] == [None, 2]
 
     def test_repeated_backward_jump_counts(self):
         mon, lay = fresh_monitor(ar=(0x9000, 0xA0FC))
         evs = drive_loop(mon, 0xA010, 0xA004, 2)
         assert evs[0].entry == (0xA010, 0xA004)
-        assert evs[1].entry is None and mon.loop.ctr == 2
+        assert evs[1].entry is None
         assert mon.cf_size == 1   # counter slot not yet committed
         # the counter is written in place in the slot after the jump
         assert read_log_entries(mon.dmem, 2) == [(0xA010, 0xA004),
                                                      (0x0000, 0x0002)]
+        assert [c for _, _, c in decode_log(read_log_entries(mon.dmem, 2))] == [None, 2]
 
     def test_loop_exit_commits_counter_and_resets(self):
         mon, lay = fresh_monitor(ar=(0x9000, 0xA0FC))
         drive_loop(mon, 0xA010, 0xA004, 3)
         ev = mon.observe(rec(pc=0xA020, pc_next=0xA060, inst=Op.JMP))
         assert ev.entry == (0xA020, 0xA060)
-        assert mon.loop.ctr == 1
         assert mon.cf_size == 3
-        assert read_log_entries(mon.dmem, 3) == [
-            (0xA010, 0xA004), (0x0000, 0x0003), (0xA020, 0xA060)]
+        # the counter is reset: the slot at the fill level holds none, and a
+        # repeat of the new jump counts from 2 there
+        assert read_log_entries(mon.dmem, 4) == [
+            (0xA010, 0xA004), (0x0000, 0x0003), (0xA020, 0xA060), (0, 0)]
+        drive_loop(mon, 0xA020, 0xA060, 1)
+        assert read_log_entries(mon.dmem, 4)[3] == (0x0000, 0x0002)
 
     def test_five_iterations_produce_jump_plus_counter(self):
         mon, lay = fresh_monitor(ar=(0x9000, 0xA0FC))
@@ -252,7 +260,7 @@ class TestLoopMonitor:
         limit = lay.pmem_base << 16
         mon.observe(rec(pc=lay.tcb_max, pc_next=sym["main"], inst=Op.JMP))
         drive_loop(mon, *pair, 1)
-        mon.loop.ctr = limit - 2
+        mon.ctr = limit - 2
         drive_loop(mon, *pair, 3)
         mon.observe(rec(pc=sym["fin"] + 4, pc_prev=sym["fin"], pc_next=lay.tcb_min,
                         inst=None, irq_acc=True, irq_line=NMI_LINE))
@@ -361,15 +369,19 @@ done:   HALT
         assert dev.mode is DeviceMode.HALTED
         acc = next(i for i, b in enumerate(dev.trace) if b.irq_acc)
         assert any(b.pc == s and b.pc_next == after for b in dev.trace[acc + 1:])
-        loop = dev.monitor.loop
-        assert (loop.src_loop, loop.dest_loop) == (s, after)
 
-        md = read_metadata(dev.state.dmem)
-        pending = 1 if loop.ctr > 1 else 0      # an uncommitted counter slot
-        got = decompress_entries(read_log_entries(dev.state.dmem, md.cf_size + pending))
+        # the fall-through wrote no counter in the slot at the fill level
+        cf_size = read_metadata(dev.state.dmem).cf_size
+        entries = read_log_entries(dev.state.dmem, cf_size + 1)
+        assert entries[-1] == (0, 0)
+        got = decompress_entries(entries[:-1])
         want = golden_region_trace(built.image, lay, ar, irqs)
         assert want == [(s, after)]
         assert got == want
+        # yet the pair is still the latched one: a real repeat of the
+        # acceptance counts in that slot
+        assert dev.monitor.observe(dev.trace[acc]).entry is None
+        assert read_log_entries(dev.state.dmem, cf_size + 1)[-1] == (0, 2)
 
 
 class TestObserveEarlyOut:

@@ -74,12 +74,6 @@ class TestSliceRules:
         v = validate_slice(SliceKind.SINGLE, entries, cfg, session(ar))
         assert v is not None and v.index == 7 and v.reason == "BadJumpTarget"
 
-    def test_single_slice_must_end_at_region_exit(self, pw):
-        res, ar, cfg = pw
-        entries = benign_single_slice(res.symbols)[:-1]
-        v = validate_slice(SliceKind.SINGLE, entries, cfg, session(ar))
-        assert v is not None and v.reason == "BadSliceEnd"
-
     def test_counter_requires_backward_jump(self, pw):
         res, ar, cfg = pw
         sym = res.symbols
@@ -236,6 +230,32 @@ class TestEndToEndVerdicts:
                                           input_kind="overflow"))
         assert " app=0 " in res.audit[1]
         assert "ReturnMismatch" in res.audit[1]
+
+    def test_run_end_is_read_off_the_last_entry(self, pw):
+        """After the boot report, an authentic slice ends the run (SINGLE)
+        exactly when its last entry is the region-end jump into the trusted
+        software; cut short of that jump it only starts one (FIRST)."""
+        from cfasim.monitor import Metadata, TriggerKind
+        from cfasim.verifier import Verifier, VerifierConfig
+        from cfasim.wire import CfaReport, attest_digest, encode_report
+
+        res, ar, cfg = pw
+        key = hashlib.sha256(b"vk").digest()
+        pmem = render_pmem(res.image, LAY)
+        full = benign_single_slice(res.symbols)
+        assert full[-1] == (ar[1], LAY.tcb_min)
+        for entries, trigger, kind in ((full[:-1], TriggerKind.TIMER, "first"),
+                                       (full, TriggerKind.REGION_END, "single")):
+            ver = Verifier(VerifierConfig(key=key, expected_pmem=pmem, layout=LAY,
+                                          target_ar=ar))
+            for md, trig, slice_ in ((Metadata(0, 0, 0, 0), TriggerKind.BOOT, ()),
+                                     (Metadata(1, *ar, len(entries)), trigger,
+                                      tuple(entries))):
+                rep = CfaReport(attest_digest(key, pmem, md, slice_), md, trig, slice_)
+                assert ver.handle_report(encode_report(rep)) is not None
+            assert ver.audit == ["seq=1 kind=first app=1 reason=ok entries=0",
+                                 f"seq=2 kind={kind} app=1 reason=ok "
+                                 f"entries={len(entries)}"]
 
     def test_stale_challenge_report_dropped(self, pw):
         from cfasim.monitor import Metadata
