@@ -8,7 +8,8 @@ and pauses execution until the verifier approves.  Application cycles run in
 bursts through one loop, ``Device._run``, which predicts each record, passes
 it through ``_commit`` (the one commit path: veto check, cycle charge,
 monitors, trace) and applies it, and returns as soon as the device leaves
-RUN or opens a session.
+RUN; opening a session switches it to SESSION, whose tick checks a running
+DMA burst as the session's first record and then sends the report.
 
 The trusted software itself is modeled functionally: entering it charges
 simulated cycle costs per phase and emits only the few bus records that the
@@ -62,12 +63,13 @@ _STRICT, _RESUME = PolicyMode.STRICT, PolicyMode.BEST_EFFORT_RESUME
 
 class DeviceMode(enum.Enum):
     RUN = "run"
+    SESSION = "session"     # a trusted-software session is open, not yet reported
     WAIT = "wait"
     HALTED = "halted"       # application executed HALT
     SHUTDOWN = "shutdown"   # remediation shut the device down
 
 
-_RUN, _WAIT = DeviceMode.RUN, DeviceMode.WAIT
+_RUN, _SESSION, _WAIT = DeviceMode.RUN, DeviceMode.SESSION, DeviceMode.WAIT
 
 
 @dataclass
@@ -128,14 +130,11 @@ class Device:
         self.monitor = CfaMonitor(self.state.dmem, layout)
         self.rot = RotState()
         self.stats = DeviceStats()
-        self.mode = DeviceMode.RUN
         self.trace: list[SignalBus] | None = [] if keep_trace else None
         # each report's frame: the one record of it, sent and resent as is
         self.reports: list[bytes] = []
         self.last_reset: ResetReason | None = None
 
-        self._pending_session: TriggerKind | None = TriggerKind.BOOT
-        self._resume_ctx: tuple[int, bool, bool] = (layout.s_base, False, False)
         # the trigger raised on the NMI line and not yet accepted, with the
         # cycle it was raised at; the NMI is pending exactly while this is set
         self._raised: tuple[TriggerKind, int] | None = None
@@ -144,8 +143,8 @@ class Device:
         self._attacks = sorted(self.events.attacks, key=lambda a: a.at_cycle)[::-1]
         self.wait_started = 0   # cycle the current wait began
         self._last_tx = 0
-        self.retired_at_last_trigger = 0
         self.last_fault: str | None = None
+        self._enter_tcb(TriggerKind.BOOT, (layout.s_base, False, False))
 
     # ------------------------------------------------------------------
     # public driving surface
@@ -157,16 +156,15 @@ class Device:
 
     @property
     def running(self) -> bool:
-        # a pending trusted-software session always runs in RUN
-        return self.mode is _RUN or self.mode is _WAIT
+        return self.mode is _RUN or self.mode is _WAIT or self.mode is _SESSION
 
     def tick(self, channel: Channel, until: int | None = None) -> None:
-        """Advance the device: a pending trusted-software session, one wait
-        poll (see ``_wait_poll``), or up to ``TICK_BURST`` application
-        cycles.  ``until`` is the drive loop's cycle budget, which a wait
-        poll does not pass; without it a poll still stops at the next
-        retransmission."""
-        if self._pending_session is not None:
+        """Advance the device: an open trusted-software session up to its
+        report, one wait poll (see ``_wait_poll``), or up to ``TICK_BURST``
+        application cycles.  ``until`` is the drive loop's cycle budget,
+        which a wait poll does not pass; without it a poll still stops at
+        the next retransmission."""
+        if self.mode is _SESSION:
             self._session(channel)
         elif self.mode is _WAIT:
             self._wait_poll(channel, until)
@@ -216,22 +214,19 @@ class Device:
     def _run(self, n: int) -> None:
         """Run up to ``n`` application cycles, each an interrupt acceptance
         if a line is eligible and otherwise one retired instruction.  Every
-        path that leaves RUN or opens a session returns, so the loop runs
-        only while the device is in RUN with no session pending."""
+        path that leaves RUN returns, so the loop runs only in RUN."""
         st = self.state
         decoded, commit, attacks = st.decoded, self._commit, self._attacks
         irq_at_retire, stats = self.events.irq_at_retire, self.stats
         for _ in range(n):
             if attacks:
                 self._apply_due_attacks()
-                if self.mode is not _RUN or self._pending_session is not None:
+                if self.mode is not _RUN:
                     return
 
             line = None
             if st.pending_irq or st.halted:
                 line = acceptable_line(st) if st.pending_irq else None
-                if line is not None and line != NMI_LINE and st.halted:
-                    line = None     # only a trigger (non-maskable) wakes a halted core
                 if line is None:
                     if self._raised and st.cycle - self._raised[1] > NMI_ACCEPT_BOUND:
                         # watchdog: a trigger that failed to vector within its bound
@@ -279,7 +274,8 @@ class Device:
     def _enter_tcb(self, kind: TriggerKind, resume_ctx: tuple[int, bool, bool]) -> None:
         """Open a trusted-software session; it consumes any pending trigger."""
         self.rot.mode = _TCB
-        self._pending_session = kind
+        self.mode = _SESSION
+        self._session_kind = kind
         self._resume_ctx = resume_ctx
         self._raised = None
         self.retired_at_last_trigger = self.state.retired
@@ -293,7 +289,6 @@ class Device:
             self.last_reset = reason
         on_reset(self.state, self.rot)
         self.monitor.hw_reset()
-        self.mode = DeviceMode.RUN
         self._enter_tcb(TriggerKind.BOOT if reason is None else TriggerKind.VIOLATION,
                         (self.layout.s_base, False, False))
 
@@ -301,18 +296,21 @@ class Device:
     # adversarial hardware events
     # ------------------------------------------------------------------
 
+    def _dma_vetoed(self, addr: int) -> bool:
+        """Check a DMA byte write to ``addr`` as a record at pc (``tcb_min``
+        whenever the trusted software runs)."""
+        pc = self.state.pc
+        return self._vetoed(SignalBus(pc, pc, pc, MOV, dma_en=True, dma_addr=addr))
+
     def _apply_due_attacks(self) -> None:
         attacks = self._attacks
         while attacks and attacks[-1].at_cycle <= self.state.cycle:
             ev = attacks.pop()
             st = self.state
-            pc = st.pc      # tcb_min whenever the trusted software runs
             if ev.kind == "dma":
                 # arming the engine is checked only; its byte writes ride on
                 # the records of the cycles that follow
-                bus = SignalBus(pc=pc, pc_prev=pc, pc_next=pc, inst=MOV,
-                                dma_en=True, dma_addr=ev.addr)
-                if self._vetoed(bus):
+                if self._dma_vetoed(ev.addr):
                     return
                 st.dma.next_addr = ev.addr
                 st.dma.remaining = ev.count
@@ -320,7 +318,7 @@ class Device:
             elif ev.kind == "force-irq":
                 # fault injection: an interrupt controller forcing acceptance
                 target = st.ivt_target(ev.line)
-                bus = SignalBus(pc=pc, pc_prev=st.pc_prev, pc_next=target,
+                bus = SignalBus(pc=st.pc, pc_prev=st.pc_prev, pc_next=target,
                                 inst=None, irq_acc=True, irq_line=ev.line)
                 if self._commit(bus, 0) is None:
                     return
@@ -333,16 +331,17 @@ class Device:
     # ------------------------------------------------------------------
 
     def _session(self, channel: Channel) -> None:
-        kind = self._pending_session
-        self._pending_session = None
         st = self.state
+        # a running DMA burst's next byte rides the session's first cycle
+        if st.dma.remaining and self._dma_vetoed(st.dma.next_addr):
+            return
         # the frame carries the metadata and log bytes as they lie in DMEM
         md = st.dmem[MD_OFF:MD_OFF + METADATA.size]
         log = st.dmem[LOG_OFF:LOG_OFF + SLOT.size * self.monitor.cf_size]
         h, cost = tcb_att(self.key, st.pmem, md, tuple(SLOT.iter_unpack(log)))
         st.cycle += cost
         self.stats.att_cycles += cost
-        self.reports.append(report_frame(h, md, kind, log))
+        self.reports.append(report_frame(h, md, self._session_kind, log))
         channel.send(VERIFIER, self.reports[-1], st.cycle)
         self.mode = _WAIT
         self.wait_started = st.cycle

@@ -319,10 +319,7 @@ def load_image(image: ProgramImage, layout: MemoryLayout) -> McuState:
         for base, size in protected:
             if seg.base < base + size and base < end:
                 raise ImageError("image too large: segment overlaps protected region")
-    st = McuState(layout, pmem, dmem)
-    st.pc = st.pc_prev = layout.tcb_min
-    st.sp = layout.dmem_end
-    return st
+    return reset(McuState(layout, pmem, dmem))
 
 
 def reset(state: McuState) -> McuState:
@@ -353,12 +350,13 @@ def raise_irq(state: McuState, line: int) -> McuState:
 def acceptable_line(state: McuState) -> int | None:
     """Lowest-numbered pending line that may be accepted this cycle: the line
     must have been pending while at least one instruction retired (the
-    in-flight instruction), and maskable lines additionally require gie."""
+    in-flight instruction), and maskable lines additionally require gie and
+    a running core (only a trigger, on the NMI line, wakes a halted one)."""
     best = None
     for line, raised_at in state.pending_irq.items():
         if state.retired <= raised_at:
             continue
-        if line != NMI_LINE and not state.gie:
+        if line != NMI_LINE and (not state.gie or state.halted):
             continue
         if best is None or line < best:
             best = line

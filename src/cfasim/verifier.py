@@ -8,7 +8,7 @@ flow, or ``EXTERNAL`` outside the region), a shadow stack whose every entry
 holds the candidate return addresses of one call or interrupt, and the
 candidate resume points announced by a trusted-software entry.  This walk
 state and the CFG it walks live in the prover's :class:`VerifySession`; a
-slice walk advances them in place and restores them on a violation.
+slice walk advances them in place up to the first violation.
 Loop-counter entries are told apart from transfers by the positional rule of
 :func:`cfasim.wire.decode_log`.
 """
@@ -87,7 +87,7 @@ class SliceKind(enum.Enum):
 
 # Members bound once: a read through the class resolves in EnumType.
 FIRST, INTERMEDIATE, LAST, SINGLE = SliceKind
-RUN_STARTS, RUN_ENDS = (FIRST, SINGLE), (LAST, SINGLE)
+RUN_ENDS = (LAST, SINGLE)
 RESTARTS = (TriggerKind.BOOT, TriggerKind.VIOLATION)   # trigger bytes of a restart
 
 
@@ -104,10 +104,10 @@ class Violation:
 class VerifySession:
     """Per-prover verifier state carried across reports: the challenges, the
     CFG of the expected binary, and the walk over it.  A slice walk advances
-    the walk fields in place; :func:`validate_slice` restores them when the
-    slice is denied."""
+    the walk fields in place and leaves them where a violation stopped it;
+    :meth:`fresh_run` restarts them."""
     layout: MemoryLayout
-    cfg: Cfg | None = None
+    cfg: Cfg
     issued_chal: int = 0
     confirmed_chal: int = 0
     issued_ar: tuple[int, int] = (0, 0)
@@ -122,6 +122,11 @@ class VerifySession:
         self.cursor = None
         self.pending_resume = frozenset()
         self.last_src = None
+
+    @property
+    def run_start(self) -> bool:
+        """The walk stands where only a fresh run leaves it."""
+        return self.cursor is None and not self.pending_resume
 
     # -- walk helpers --
 
@@ -198,14 +203,14 @@ class VerifySession:
 
     # -- entry processing --
 
-    def first_entry(self, kind: SliceKind, s: int, d: int) -> Violation | None:
+    def first_entry(self, s: int, d: int) -> Violation | None:
         """Entry 0 adds only what a slice start decides.  A run enters at the
         region start.  The trusted software's exit jump resumes the walk at
         its destination, which within a run must be an announced resume
         point.  Any other first entry is a transfer from outside the region
         (a run's call into it, or a return or trigger while execution was
         outside), judged by :meth:`entry` from an ``EXTERNAL`` cursor."""
-        fresh = kind in RUN_STARTS
+        fresh = self.run_start
         if fresh and d != self.cfg.ar_min:
             return Violation(0, "BadRegionEntry")
         if s == self.layout.tcb_max:
@@ -271,25 +276,20 @@ class VerifySession:
         return None
 
 
-def validate_slice(kind: SliceKind, entries: Sequence[tuple[int, int]], cfg: Cfg,
-                   session: VerifySession) -> Violation | None:
-    """Validate one log slice over ``cfg``, which becomes the session's CFG.
-    The walk advances the session in place; on violation its walk fields are
-    restored, so the session is left as it stood before the call."""
-    session.cfg = cfg
-    saved = (list(session.shadow), session.cursor, session.pending_resume,
-             session.last_src)
+def validate_slice(session: VerifySession,
+                   entries: Sequence[tuple[int, int]]) -> Violation | None:
+    """Validate one log slice over the session's CFG, advancing its walk in
+    place up to the first violation, which is returned."""
     for i, (s, d, count) in enumerate(decode_log(entries)):
         if i and session.cursor is None:
             # only the acceptance into the trusted software leaves no cursor
-            v = Violation(i, "EntriesAfterTrigger")
-        elif count is not None:
+            return Violation(i, "EntriesAfterTrigger")
+        if count is not None:
             v = session.counter_entry(i, count)
         else:
-            v = session.first_entry(kind, s, d) if i == 0 else session.entry(i, s, d)
+            v = session.first_entry(s, d) if i == 0 else session.entry(i, s, d)
             session.last_src = s
         if v is not None:
-            session.shadow, session.cursor, session.pending_resume, session.last_src = saved
             return v
     return None
 
@@ -341,9 +341,8 @@ class Verifier:
     def _infer_kind(self, ar_max: int, entries) -> SliceKind:
         """The slice kind from authenticated bytes alone: a slice ends the
         run exactly when its last entry is the region-end jump into the
-        trusted software, and starts one when the walk stands where only a
-        fresh run leaves it: at no cursor, with no announced resume point."""
-        fresh = self.session.cursor is None and not self.session.pending_resume
+        trusted software, and starts one at :attr:`VerifySession.run_start`."""
+        fresh = self.session.run_start
         if entries and entries[-1] == (ar_max, self.config.layout.tcb_min):
             return SINGLE if fresh else LAST
         return FIRST if fresh else INTERMEDIATE
@@ -385,7 +384,7 @@ class Verifier:
         if (ar_min, ar_max) != sess.issued_ar:
             app, reason = 0, "bad-ar"
         else:
-            violation = validate_slice(kind, entries, sess.cfg, sess)
+            violation = validate_slice(sess, entries)
             if violation is not None:
                 app, reason = 0, str(violation)
 

@@ -6,7 +6,7 @@ import pytest
 from cfasim.apps import FIXTURES
 from cfasim.asm import assemble
 from cfasim.channel import Channel, ChannelPolicy
-from cfasim.device import AttackEvent, DeviceEvents
+from cfasim.device import AttackEvent, DeviceEvents, DeviceMode
 from cfasim.mcu import METADATA, TIMER, MemoryLayout
 from cfasim.monitor import ResetReason, TriggerKind
 from cfasim.scenario import (Outcome, ScenarioConfig, run_image, run_scenario,
@@ -136,7 +136,7 @@ def app_mode_device(source, sp, events=None):
     built = assemble(source, entry=LAY.tcb_min)
     dev = Device(built.image, LAY, DeviceKey(b"\x01" * 32), events=events,
                  keep_trace=True)
-    dev._pending_session = None
+    dev.mode = DeviceMode.RUN
     dev.rot.mode = Mode.APP
     dev.state.pc = built.symbols["main"]
     dev.state.sp = sp
@@ -152,7 +152,8 @@ class TestStackOverflowReset:
         dev.tick(Channel())
         assert dev.last_reset is ResetReason.MACHINE_FAULT
         assert dev.last_fault == "stack-overflow"
-        assert dev._pending_session is TriggerKind.VIOLATION
+        assert dev.mode is DeviceMode.SESSION
+        assert dev._session_kind is TriggerKind.VIOLATION
         assert dev.state.retired == retired == len(dev.trace)
         assert bytes(dev.state.dmem) == dmem     # nothing was pushed
 
@@ -193,6 +194,43 @@ class TestTcbInterference:
                   if r.trigger is TriggerKind.VIOLATION)
         assert reports[vi].entries == reports[vi - 1].entries
         assert reports[vi].metadata == reports[vi - 1].metadata
+
+    @pytest.mark.parametrize("count", [20, 3000])
+    def test_dma_burst_running_into_a_session_resets(self, count, monkeypatch):
+        """A burst armed in application mode whose bytes remain when a
+        trigger opens a session is DMA during trusted execution: the
+        session's first cycle carries its next byte, and the device resets
+        before the session reports.  A burst that ends before the trigger
+        changes nothing."""
+        from cfasim.apps import delay_loop
+        from cfasim.device import Device
+
+        exits = []
+        exit_tcb = Device._exit_tcb
+        monkeypatch.setattr(Device, "_exit_tcb",
+                            lambda dev: (exit_tcb(dev), exits.append(dev.cycle)))
+
+        def run(ev):
+            return run_src(delay_loop(3000), events=ev, timer_deadline=2000)[0]
+
+        clean = run(None)
+        triggers = [r.trigger for r in clean.reports]
+        assert triggers[:2] == [TriggerKind.BOOT, TriggerKind.TIMER]
+        # armed 10 cycles after the boot session's exit jump
+        ev = DeviceEvents(attacks=[AttackEvent(at_cycle=exits[0] + 10, kind="dma",
+                                               addr=0x1000, count=count, value=0x5A)])
+        result = run(ev)
+        off = 0x1000 - LAY.dmem_base
+        landed = result.device.state.dmem[off:off + count].count(0x5A)
+        if count == 20:
+            assert result.device.last_reset is None
+            assert [r.trigger for r in result.reports] == triggers
+            assert landed == count
+        else:
+            assert result.device.last_reset is ResetReason.DMA_IN_TCB
+            assert [r.trigger for r in result.reports][:2] == [TriggerKind.BOOT,
+                                                               TriggerKind.VIOLATION]
+            assert 0 < landed < count
 
     def test_forced_maskable_irq_during_wait_resets(self):
         ev = DeviceEvents(attacks=[AttackEvent(at_cycle=140_000, kind="force-irq",
@@ -605,7 +643,6 @@ class TestTriggerSuppression:
             dev.tick(chan)
         # fake approval path is unnecessary: force-run with a stuck NMI
         dev.mode = device_mod.DeviceMode.RUN
-        dev._pending_session = None
         dev.state.pc = built.symbols["main"]
         dev.state.pending_irq[NMI_LINE] = dev.state.retired - 1
         dev._raised = (TriggerKind.BOOT, dev.state.cycle)

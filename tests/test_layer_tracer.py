@@ -61,3 +61,19 @@ def test_round_trip_decodes_each_report_once():
     n = len(res.device.reports)
     assert n == tracer.counts["verifier.reports_received"] == 2
     assert tracer.calls["wire"] <= 4 * n
+
+
+def test_tracer_counts_the_entries_of_each_walked_report():
+    """``verifier.entries_validated`` reads the entries as
+    ``validate_slice``'s second argument.  On a clean run every report is
+    authentic and carries the region it was issued, so every one is walked
+    and the counter is the sum of their entries; an argument order that
+    moves the entries breaks this count."""
+    layers = load_layers()
+    with layers.LayerTracer() as tracer:
+        res = run_scenario(ScenarioConfig(app="few_branch"))
+    assert all(" app=1 reason=ok " in line for line in res.audit)
+    assert len(res.audit) == len(res.reports)
+    walked = sum(len(r.entries) for r in res.reports)
+    assert walked > 0
+    assert tracer.counts["verifier.entries_validated"] == walked

@@ -6,8 +6,8 @@ from cfasim.asm import assemble
 from cfasim.isa import M_IMM, Instr, Op
 from cfasim.mcu import (METADATA, NMI_LINE, NUM_IRQ_LINES, TIMER, FaultError,
                         ImageError, LayoutError, MachineError, MemoryLayout, ProgramImage,
-                        Segment, _fetch, load_image, raise_irq, render_pmem,
-                        reset, step)
+                        Segment, _fetch, acceptable_line, load_image, raise_irq,
+                        render_pmem, reset, step)
 
 
 def boot(source, layout=None, entry=None):
@@ -243,6 +243,18 @@ fn:     RET
         run_to_halt(st)
         with pytest.raises(MachineError, match="halted"):
             step(st)
+
+    def test_only_the_nmi_wakes_a_halted_core(self):
+        st, _ = boot("        .org 0x9000\n        HALT\n")
+        st.pc = 0x9000
+        run_to_halt(st)
+        st.gie = True
+        raise_irq(st, 1)
+        st.retired += 1         # pending while an instruction retired
+        assert acceptable_line(st) is None
+        raise_irq(st, NMI_LINE)
+        st.retired += 1
+        assert acceptable_line(st) == NMI_LINE
 
     def test_stack_underflow_faults(self):
         st, _ = boot("        .org 0x9000\n        RET\n")

@@ -13,7 +13,7 @@ from cfasim.monitor import (FLUSH_RESERVE, CfaMonitor, Metadata,
                             timer_write_check, write_metadata)
 from cfasim.rot import Mode
 from cfasim.tcb import DeviceKey
-from cfasim.verifier import SliceKind, VerifySession, build_cfg, validate_slice
+from cfasim.verifier import VerifySession, build_cfg, validate_slice
 from cfasim.wire import decode_log
 
 LAY = MemoryLayout()
@@ -268,10 +268,9 @@ class TestLoopMonitor:
         assert [(s, d) if c is None else c for s, d, c in
                 decode_log(entries[1:-1])] == [pair, limit - 1, pair, 2]
 
-        s = VerifySession(lay)
+        s = VerifySession(lay, build_cfg(render_pmem(res.image, lay), ar))
         s.issued_ar = ar
-        cfg = build_cfg(render_pmem(res.image, lay), ar)
-        assert validate_slice(SliceKind.SINGLE, entries, cfg, s) is None
+        assert validate_slice(s, entries) is None
 
 
 def drive_and_replay(image, lay, ar, start, cycles, events=None):
@@ -287,11 +286,11 @@ def drive_and_replay(image, lay, ar, start, cycles, events=None):
     write_metadata(dev.state.dmem, md)
     dmem0 = bytearray(dev.state.dmem)
 
-    dev._pending_session = None
+    dev.mode = DeviceMode.RUN
     dev.rot.mode = Mode.APP
     dev.state.pc = start
     for _ in range(cycles):
-        if dev.mode is not DeviceMode.RUN or dev._pending_session is not None:
+        if dev.mode is not DeviceMode.RUN:
             break
         dev._run(1)
 

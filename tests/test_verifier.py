@@ -6,8 +6,8 @@ from cfasim.apps import PASSWORD
 from cfasim.asm import assemble
 from cfasim.mcu import MemoryLayout, render_pmem
 from cfasim.scenario import Outcome, ScenarioConfig, run_scenario
-from cfasim.verifier import (EXTERNAL, SliceKind, VerifySession, Violation,
-                             build_cfg, validate_slice)
+from cfasim.verifier import (EXTERNAL, VerifySession, Violation, build_cfg,
+                             validate_slice)
 
 LAY = MemoryLayout()
 
@@ -20,9 +20,9 @@ def pw():
     return res, ar, cfg
 
 
-def session(ar, chal=1):
-    s = VerifySession(LAY)
-    s.issued_ar = ar
+def session(cfg, chal=1):
+    s = VerifySession(LAY, cfg)
+    s.issued_ar = (cfg.ar_min, cfg.ar_max)
     s.issued_chal = chal
     return s
 
@@ -49,14 +49,14 @@ class TestSliceRules:
     def test_benign_single_slice_accepted(self, pw):
         res, ar, cfg = pw
         sym = dict(res.symbols, cpdone=res.symbols["cpdone"], sloop=res.symbols["sloop"])
-        s = session(ar)
-        assert validate_slice(SliceKind.SINGLE, benign_single_slice(sym), cfg, s) is None
+        s = session(cfg)
+        assert validate_slice(s, benign_single_slice(sym)) is None
 
     def test_first_entry_must_target_region_start(self, pw):
         res, ar, cfg = pw
         entries = benign_single_slice(res.symbols)
         entries[0] = (0x9008, res.symbols["getpw"])   # jumps past the entry
-        v = validate_slice(SliceKind.SINGLE, entries, cfg, session(ar))
+        v = validate_slice(session(cfg), entries)
         assert v == Violation(0, "BadRegionEntry")
 
     def test_return_mismatch_detected_at_offending_index(self, pw):
@@ -64,14 +64,14 @@ class TestSliceRules:
         sym = res.symbols
         entries = benign_single_slice(sym)
         entries[6] = (0x91CC, sym["sense"])   # hijacked return
-        v = validate_slice(SliceKind.SINGLE, entries, cfg, session(ar))
+        v = validate_slice(session(cfg), entries)
         assert v is not None and v.reason == "ReturnMismatch" and v.index == 6
 
     def test_edge_absent_from_cfg_rejected(self, pw):
         res, ar, cfg = pw
         entries = benign_single_slice(res.symbols)
         entries[7] = (0x910C, res.symbols["nope"])   # JMP with the wrong target
-        v = validate_slice(SliceKind.SINGLE, entries, cfg, session(ar))
+        v = validate_slice(session(cfg), entries)
         assert v is not None and v.index == 7 and v.reason == "BadJumpTarget"
 
     def test_counter_requires_backward_jump(self, pw):
@@ -82,29 +82,18 @@ class TestSliceRules:
             (sym["app_main"], sym["getpw"]),
             (0x0000, 3),                      # counter without a loop before it
         ]
-        v = validate_slice(SliceKind.FIRST, entries, cfg, session(ar))
+        v = validate_slice(session(cfg), entries)
         assert v is not None and v.index == 2
 
     def test_shadow_underflow_detected(self, pw):
         res, ar, cfg = pw
         sym = res.symbols
-        s = session(ar)
+        s = session(cfg)
         s.pending_resume = frozenset({sym["gexit"]})
         s.shadow = []
         # resumed at gexit, then a return with nothing on the shadow
-        v = validate_slice(SliceKind.INTERMEDIATE,
-                           [(LAY.tcb_max, sym["gexit"]), (0x91CC, sym["app_main"] + 4)],
-                           cfg, s)
+        v = validate_slice(s, [(LAY.tcb_max, sym["gexit"]), (0x91CC, sym["app_main"] + 4)])
         assert v == Violation(1, "ShadowUnderflow")
-
-    def test_violation_leaves_session_untouched(self, pw):
-        res, ar, cfg = pw
-        s = session(ar)
-        before = (list(s.shadow), s.cursor, s.pending_resume, s.last_src)
-        entries = benign_single_slice(res.symbols)
-        entries[6] = (0x91CC, res.symbols["sense"])
-        validate_slice(SliceKind.SINGLE, entries, cfg, s)
-        assert (list(s.shadow), s.cursor, s.pending_resume, s.last_src) == before
 
 
 CALLI_PROGRAM = """
@@ -132,46 +121,48 @@ def _resolve(entries, sym):
 
 class TestSliceViolationTable:
     """Hand-built slices that reach each violation the fixture runs never
-    produce; every case pins the exact index and reason."""
+    produce; every case pins the exact index and reason.  A slice starts a
+    run on a fresh session; a cursor or an announced resume point puts it
+    mid-run."""
 
-    @pytest.mark.parametrize("kind, cursor, entries, expect", [
-        pytest.param(SliceKind.FIRST, None,
+    @pytest.mark.parametrize("cursor, resume, entries, expect", [
+        pytest.param(None, None,
                      [(0x9008, "app_main"), ("app_main", "cpdone")],
                      Violation(1, "BadCallTarget"), id="call-to-other-target"),
-        pytest.param(SliceKind.FIRST, None,
+        pytest.param(None, None,
                      [(0x9008, "app_main"), ("app_main", "getpw"), (0x9144, 0x9150)],
                      Violation(2, "BadJumpTarget"), id="conditional-to-other-target"),
-        pytest.param(SliceKind.FIRST, None,
+        pytest.param(None, None,
                      [(0x9008, "app_main"), ("app_main", "getpw"),
                       (0x9144, "cpdone"), (0x9164, "nope")],
                      Violation(3, "UnknownEdge"), id="transfer-from-non-branch"),
-        pytest.param(SliceKind.FIRST, None,
+        pytest.param(None, None,
                      [(0x9008, "app_main"), ("app_main", "getpw"), (0x9144, "cpdone"),
                       (0x91A4, "gexit"), (0x91CC, 0x9104), (0x0000, 3)],
                      Violation(5, "BadCounter"), id="counter-after-non-loop-jump"),
-        pytest.param(SliceKind.INTERMEDIATE, None, [(LAY.tcb_max, 0x9000)],
+        pytest.param(None, {"getpw"}, [(LAY.tcb_max, 0x9000)],
                      Violation(0, "BadSliceStart"), id="resume-outside-region"),
-        pytest.param(SliceKind.INTERMEDIATE, None, [(0x9008, "app_main")],
+        pytest.param(None, {"getpw"}, [(0x9008, "app_main")],
                      Violation(0, "BadSliceStart"), id="entry-without-exit-jump"),
-        pytest.param(SliceKind.INTERMEDIATE, EXTERNAL, [(0x9000, "cpdone")],
+        pytest.param(EXTERNAL, None, [(0x9000, "cpdone")],
                      Violation(0, "UnknownEdge"), id="first-entry-from-outside"),
-        pytest.param(SliceKind.INTERMEDIATE, EXTERNAL, LEAVE_REGION + [(0x9000, "nope")],
+        pytest.param(EXTERNAL, None, LEAVE_REGION + [(0x9000, "nope")],
                      Violation(4, "UnknownEdge"), id="entry-from-outside"),
-        pytest.param(SliceKind.INTERMEDIATE, EXTERNAL, LEAVE_REGION + [(0x910C, "sense")],
+        pytest.param(EXTERNAL, None, LEAVE_REGION + [(0x910C, "sense")],
                      Violation(4, "BrokenFlow"), id="source-inside-while-outside"),
-        pytest.param(SliceKind.FIRST, None, [(LAY.tcb_min, "app_main")],
+        pytest.param(None, None, [(LAY.tcb_min, "app_main")],
                      Violation(0, "BrokenFlow"), id="run-entered-from-trusted-software"),
-        pytest.param(SliceKind.INTERMEDIATE, EXTERNAL,
+        pytest.param(EXTERNAL, None,
                      LEAVE_REGION + [(LAY.tcb_max, "getpw")],
                      Violation(4, "BrokenFlow"), id="entry-from-trusted-software"),
     ])
-    def test_password_slices(self, pw, kind, cursor, entries, expect):
+    def test_password_slices(self, pw, cursor, resume, entries, expect):
         res, ar, cfg = pw
-        s = session(ar)
+        s = session(cfg)
         s.cursor = cursor
-        before = (list(s.shadow), s.cursor, s.pending_resume, s.last_src)
-        assert validate_slice(kind, _resolve(entries, res.symbols), cfg, s) == expect
-        assert (list(s.shadow), s.cursor, s.pending_resume, s.last_src) == before
+        if resume is not None:
+            s.pending_resume = frozenset(res.symbols[r] for r in resume)
+        assert validate_slice(s, _resolve(entries, res.symbols)) == expect
 
     def test_indirect_call_to_unknown_entry(self):
         res = assemble(CALLI_PROGRAM, entry=LAY.tcb_min)
@@ -179,7 +170,7 @@ class TestSliceViolationTable:
         ar = (sym["main"], sym["fin"])
         cfg = build_cfg(render_pmem(res.image, LAY), ar)
         entries = [(0x9000, sym["main"]), (sym["main"] + 8, sym["work"] + 4)]
-        v = validate_slice(SliceKind.FIRST, entries, cfg, session(ar))
+        v = validate_slice(session(cfg), entries)
         assert v == Violation(1, "IndirectTarget")
 
     def test_indirect_call_to_address_taken_entry(self):
@@ -191,7 +182,7 @@ class TestSliceViolationTable:
         cfg = build_cfg(render_pmem(res.image, LAY), ar)
         assert cfg.known_entries == {sym["main"], sym["work"]}
         entries = [(0x9000, sym["main"]), (sym["main"] + 8, sym["work"])]
-        assert validate_slice(SliceKind.FIRST, entries, cfg, session(ar)) is None
+        assert validate_slice(session(cfg), entries) is None
 
 
 class TestSliceComposability:
@@ -256,6 +247,32 @@ class TestEndToEndVerdicts:
             assert ver.audit == ["seq=1 kind=first app=1 reason=ok entries=0",
                                  f"seq=2 kind={kind} app=1 reason=ok "
                                  f"entries={len(entries)}"]
+
+    def test_slice_after_a_deny_starts_a_run(self, pw):
+        """A denied slice leaves the walk where its violation stopped it,
+        mid-run; the deny restarts the session, so the next slice is walked
+        as a run start and a benign run is approved."""
+        from cfasim.monitor import Metadata, TriggerKind
+        from cfasim.verifier import Verifier, VerifierConfig
+        from cfasim.wire import CfaReport, attest_digest, encode_report
+
+        res, ar, cfg = pw
+        key = hashlib.sha256(b"vk").digest()
+        pmem = render_pmem(res.image, LAY)
+        benign = benign_single_slice(res.symbols)
+        hijacked = list(benign)
+        hijacked[6] = (0x91CC, res.symbols["sense"])
+        ver = Verifier(VerifierConfig(key=key, expected_pmem=pmem, layout=LAY,
+                                      target_ar=ar))
+        for chal, trig, slice_ in ((0, TriggerKind.BOOT, ()),
+                                   (1, TriggerKind.REGION_END, tuple(hijacked)),
+                                   (2, TriggerKind.REGION_END, tuple(benign))):
+            md = Metadata(chal, *(ar if chal else (0, 0)), len(slice_))
+            rep = CfaReport(attest_digest(key, pmem, md, slice_), md, trig, slice_)
+            assert ver.handle_report(encode_report(rep)) is not None
+        assert ver.audit[1:] == [
+            "seq=2 kind=single app=0 reason=ReturnMismatch@6 entries=11",
+            "seq=3 kind=single app=1 reason=ok entries=11"]
 
     def test_stale_challenge_report_dropped(self, pw):
         from cfasim.monitor import Metadata
@@ -402,20 +419,17 @@ class TestSliceEdgeRules:
             (0x9134, LAY.tcb_min),          # trigger acceptance mid-slice
             (0x915C, sym["cploop"]),        # nothing may follow it
         ]
-        v = validate_slice(SliceKind.FIRST, entries, cfg, session(ar))
+        v = validate_slice(session(cfg), entries)
         assert v is not None and v.reason == "EntriesAfterTrigger" and v.index == 3
 
     def test_intermediate_resume_must_match_announced_point(self, pw):
         res, ar, cfg = pw
         sym = res.symbols
-        s = session(ar)
-        s.pending_resume = frozenset({sym["sense"]})
-        v = validate_slice(SliceKind.INTERMEDIATE,
-                           [(LAY.tcb_max, sym["getpw"])], cfg, s)
-        assert v is not None and v.reason == "ResumeMismatch"
-        ok = validate_slice(SliceKind.INTERMEDIATE,
-                            [(LAY.tcb_max, sym["sense"])], cfg, s)
-        assert ok is None
+        for dest, expect in ((sym["getpw"], Violation(0, "ResumeMismatch")),
+                             (sym["sense"], None)):
+            s = session(cfg)
+            s.pending_resume = frozenset({sym["sense"]})
+            assert validate_slice(s, [(LAY.tcb_max, dest)]) == expect
 
     def test_counter_value_below_two_rejected(self, pw):
         res, ar, cfg = pw
@@ -426,7 +440,7 @@ class TestSliceEdgeRules:
             (0x915C, sym["cploop"]),
             (0x0000, 1),                    # counters start at two
         ]
-        v = validate_slice(SliceKind.FIRST, entries, cfg, session(ar))
+        v = validate_slice(session(cfg), entries)
         assert v is not None and v.index == 3
 
 
@@ -456,41 +470,31 @@ class TestInterruptAcceptance:
         cfg = build_cfg(render_pmem(res.image, LAY), ar, (sym["isr"],))
         return sym, ar, cfg
 
-    @staticmethod
-    def snapshot(s):
-        return (list(s.shadow), s.cursor, s.pending_resume, s.last_src)
-
     def test_acceptance_after_taken_jump_resumes_at_its_target(self, irq):
         sym, ar, cfg = irq
-        s = session(ar)
+        s = session(cfg)
         jmp = sym["spin"] + 4
         entries = [(LAY.tcb_max, sym["main"]), (jmp, sym["spin"]), (jmp, LAY.tcb_min)]
-        assert validate_slice(SliceKind.FIRST, entries, cfg, s) is None
+        assert validate_slice(s, entries) is None
         assert s.pending_resume == {sym["spin"]}
 
-    @pytest.mark.parametrize("kind, pending, entries", [
+    @pytest.mark.parametrize("pending, entries", [
         # a JMP has no fall-through: an acceptance attributed to the one at
         # spin+4 must follow its own logged transfer, and none was logged
-        pytest.param(SliceKind.FIRST, None,
-                     [(LAY.tcb_max, "main"), ("jmp", LAY.tcb_min)],
+        pytest.param(None, [(LAY.tcb_max, "main"), ("jmp", LAY.tcb_min)],
                      id="jump-not-retired"),
         # after lies past the jump at spin+4: straight-line flow from main
         # cannot reach it
-        pytest.param(SliceKind.FIRST, None,
-                     [(LAY.tcb_max, "main"), ("after", LAY.tcb_min)],
+        pytest.param(None, [(LAY.tcb_max, "main"), ("after", LAY.tcb_min)],
                      id="source-unreachable"),
         # the handler would return past fin, outside the region
-        pytest.param(SliceKind.INTERMEDIATE, {"after"},
-                     [(LAY.tcb_max, "after"), ("fin", "isr")],
+        pytest.param({"after"}, [(LAY.tcb_max, "after"), ("fin", "isr")],
                      id="handler-resumes-outside"),
     ])
-    def test_inconsistent_acceptance_is_broken_flow(self, irq, kind, pending, entries):
+    def test_inconsistent_acceptance_is_broken_flow(self, irq, pending, entries):
         sym, ar, cfg = irq
         sym = dict(sym, jmp=sym["spin"] + 4)
-        s = session(ar)
+        s = session(cfg)
         if pending is not None:
             s.pending_resume = frozenset(sym[p] for p in pending)
-        before = self.snapshot(s)
-        v = validate_slice(kind, _resolve(entries, sym), cfg, s)
-        assert v == Violation(1, "BrokenFlow")
-        assert self.snapshot(s) == before
+        assert validate_slice(s, _resolve(entries, sym)) == Violation(1, "BrokenFlow")
