@@ -226,3 +226,60 @@ FIXTURE_IMAGES = {
 def test_fixture_images_are_pinned(name, attr):
     image = assemble(getattr(FIXTURES[name], attr)).image
     assert hashlib.sha256(image.to_bytes()).hexdigest()[:16] == FIXTURE_IMAGES[name, attr]
+
+
+# Errors the assembler finds while it places statements and collects labels
+# (pass 1), and errors it finds only when it encodes them (pass 2): each
+# statement and its message.  Every pass-1 error comes before any pass-2
+# error, whatever their lines; within a pass the first line wins.
+PASS1_ERRORS = {
+    "duplicate-label": ("lab:    NOP", "duplicate label 'lab'"),
+    "unknown-mnemonic": ("FROB r1", "unknown mnemonic 'FROB'"),
+    "label-and-unknown-mnemonic": ("lab:    FROB", "duplicate label 'lab'"),
+    "symbolic-org": (".org lab", ".org needs a numeric address"),
+    "wide-org": (".org 0x10000", ".org needs a numeric address"),
+}
+PASS2_ERRORS = {
+    "undefined-label": ("JMP nowhere", "undefined label 'nowhere'"),
+    "bad-operands": ("MOV r1, 5", "bad operands for MOV: 'r1, 5'"),
+    "bad-expression": ("JMP lab+", "bad expression 'lab+'"),
+    "wide-immediate": ("MOV r0, #0x10000", "value 0x10000 outside 16-bit range"),
+    "negative-target": ("JMP lab - 36868", "value -0x4 outside 16-bit range"),
+    "word-undefined": (".word 1, nowhere", "undefined label 'nowhere'"),
+    "word-wide-then-undefined": (".word 0x10000, nowhere",
+                                 "value 0x10000 outside 16-bit range"),
+    "word-empty-item": (".word 1,", "bad expression ''"),
+}
+
+
+def _error(source: str) -> str:
+    with pytest.raises(AsmError) as info:
+        assemble(source)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("late", PASS1_ERRORS)
+@pytest.mark.parametrize("early", PASS2_ERRORS)
+def test_pass1_error_on_a_later_line_wins(early, late):
+    source = f".org 0x9000\nlab:    NOP\n        {PASS2_ERRORS[early][0]}\n" \
+             f"        {PASS1_ERRORS[late][0]}\n"
+    assert _error(source) == f"line 4: {PASS1_ERRORS[late][1]}"
+
+
+@pytest.mark.parametrize("second", PASS2_ERRORS)
+@pytest.mark.parametrize("first", PASS2_ERRORS)
+def test_first_pass2_error_in_line_order_wins(first, second):
+    source = f".org 0x9000\nlab:    NOP\n        {PASS2_ERRORS[first][0]}\n" \
+             f"        {PASS2_ERRORS[second][0]}\n"
+    assert _error(source) == f"line 3: {PASS2_ERRORS[first][1]}"
+
+
+@pytest.mark.parametrize("first, message", [
+    ("        NOP", "code before any .org"),
+    ("lab:", "label before any .org"),
+    ("lab:    JMP nowhere", "label before any .org"),
+    ("        .word nowhere", "code before any .org"),
+])
+def test_statement_before_org_is_the_first_error(first, message):
+    source = f"{first}\n.org 0x9000\n        FROB\nlab:    NOP\nlab:    NOP\n"
+    assert _error(source) == f"line 1: {message}"
