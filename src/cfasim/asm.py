@@ -1,4 +1,4 @@
-"""Two-pass assembler and disassembler for the TinyMCU ISA.
+"""Assembler and disassembler for the TinyMCU ISA.
 
 Grammar, one statement per line::
 
@@ -13,7 +13,9 @@ bare expressions for jump/call targets.  Mnemonics, the ``r`` of a register
 and ``SP`` may be written in any case, and blanks around ``,``, ``#``,
 ``&``, ``@``, ``(`` and ``)`` are optional.  An expression is a number (any
 Python int literal base) or a label optionally followed by ``+n``/``-n``.
-Label resolution is two-pass, so forward references work.
+Each line is tokenised once; a first pass over the statements places them
+and collects the labels, and a second encodes them, so forward references
+work.
 
 The disassembler lists a word that is not a canonical instruction, and a
 trailing half-word, as ``.word`` data, so every listing re-assembles to the
@@ -23,6 +25,7 @@ bytes it came from.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 
 from .isa import (INSTR_SIZE, SP_REG, SYNTAX, WORD, DecodeError, Op, decode_word,
@@ -44,6 +47,8 @@ class AsmResult:
 
 _LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):")
 _EXPR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*([+-]\s*\d+)?$")
+# An expression starting with one of these is a label, never a number.
+_NAME_START = frozenset(string.ascii_letters + "_")
 
 # One operand regex per SYNTAX form: its letters become the patterns below
 # (an immediate is any comma-free expression text), its other characters
@@ -57,86 +62,110 @@ for (_op, _mode), _form in SYNTAX.items():
 
 
 class _Pass:
-    """Shared two-pass machinery: pass 1 sizes statements and collects
-    labels, pass 2 encodes with everything resolvable."""
+    """One assembly of one source.  ``__init__`` tokenises each line once
+    into a ``(line, label, MNEMONIC, operands)`` statement, dropping blank
+    and comment-only lines.  Pass 1, :meth:`layout`, places the statements
+    and collects the labels; pass 2, :meth:`emit`, encodes the placed
+    statements into segments with every label known.  So every pass-1 error
+    (label or code before any ``.org``, a bad ``.org``, a duplicate label,
+    an unknown mnemonic) wins over every pass-2 error (bad operands or
+    expression, an undefined label, a value outside 16 bits), and within a
+    pass the first line wins."""
 
     def __init__(self, source: str):
-        self.lines = source.splitlines()
         self.symbols: dict[str, int] = {}
+        self.statements: list[tuple[int, str | None, str, str]] = []
+        for line_no, raw in enumerate(source.splitlines(), 1):
+            text = raw.split(";", 1)[0].strip()
+            label = None
+            m = ":" in text and _LABEL_RE.match(text)
+            if m:
+                label = m.group(1)
+                text = text[m.end():].strip()
+            if text:
+                parts = text.split(None, 1) + [""]
+                self.statements.append((line_no, label, parts[0].upper(), parts[1]))
+            elif label:
+                self.statements.append((line_no, label, "", ""))
 
-    def _expr(self, text: str, line_no: int) -> int:
+    def layout(self) -> list[tuple[int, str, object]]:
+        """Pass 1: the ``(line, MNEMONIC, argument)`` of each placed
+        statement, where a ``.org`` carries its address, a ``.word`` its
+        items and an instruction its operand text."""
+        symbols = self.symbols
+        loc: int | None = None
+        placed: list[tuple[int, str, object]] = []
+        for line_no, label, mnem, rest in self.statements:
+            if label is not None:
+                if loc is None:
+                    raise AsmError(line_no, "label before any .org")
+                if label in symbols:
+                    raise AsmError(line_no, f"duplicate label {label!r}")
+                symbols[label] = loc
+            if mnem == ".ORG":
+                try:
+                    loc = int(rest, 0)
+                    if not 0 <= loc <= 0xFFFF:
+                        raise ValueError
+                except ValueError:
+                    raise AsmError(line_no, ".org needs a numeric address") from None
+                placed.append((line_no, mnem, loc))
+            elif not mnem:
+                continue
+            elif loc is None:
+                raise AsmError(line_no, "code before any .org")
+            elif mnem == ".WORD":
+                items = rest.split(",")
+                loc += 2 * len(items)
+                placed.append((line_no, mnem, items))
+            elif mnem in _FORMS:
+                loc += INSTR_SIZE
+                placed.append((line_no, mnem, rest))
+            else:
+                raise AsmError(line_no, f"unknown mnemonic {mnem!r}")
+        return placed
+
+    def emit(self, placed: list[tuple[int, str, object]]) -> list[Segment]:
+        """Pass 2: the segments of the placed statements, one per ``.org``
+        that is followed by code or data."""
+        segments: list[Segment] = []
+        base, cur = None, bytearray()
+        for line_no, mnem, arg in placed:
+            if mnem == ".ORG":
+                if cur:
+                    segments.append(Segment(base, bytes(cur)))
+                base, cur = arg, bytearray()
+            elif mnem == ".WORD":
+                for item in arg:
+                    cur += self._value(item, line_no).to_bytes(2, "little")
+            else:
+                cur += self._encode(mnem, arg, line_no)
+        if cur:
+            segments.append(Segment(base, bytes(cur)))
+        return segments
+
+    def _value(self, text: str, line_no: int) -> int:
+        """The 16-bit value of the expression ``text``: a label is a lookup,
+        and only text that cannot be a label is tried as a number."""
         text = text.strip()
-        try:
-            return int(text, 0)
-        except ValueError:
-            pass
-        m = _EXPR_RE.match(text)
-        if not m:
-            raise AsmError(line_no, f"bad expression {text!r}")
-        name, off = m.group(1), m.group(2)
-        if name not in self.symbols:
-            raise AsmError(line_no, f"undefined label {name!r}")
-        return self.symbols[name] + (int("".join(off.split())) if off else 0)
-
-    def _check16(self, value: int, line_no: int) -> int:
+        symbols = self.symbols
+        value = symbols[text] if text in symbols else None
+        if value is None and text[:1] not in _NAME_START:
+            try:
+                value = int(text, 0)
+            except ValueError:
+                pass
+        if value is None:
+            m = _EXPR_RE.match(text)
+            if not m:
+                raise AsmError(line_no, f"bad expression {text!r}")
+            name, off = m.groups()
+            if name not in symbols:
+                raise AsmError(line_no, f"undefined label {name!r}")
+            value = symbols[name] + (int("".join(off.split())) if off else 0)
         if not 0 <= value <= 0xFFFF:
             raise AsmError(line_no, f"value {value:#x} outside 16-bit range")
         return value
-
-    def run(self, collect: bool) -> list[Segment]:
-        loc: int | None = None
-        segments: list[Segment] = []
-        cur_base, cur = None, bytearray()
-
-        def flush():
-            nonlocal cur_base, cur
-            if cur_base is not None and cur:
-                segments.append(Segment(cur_base, bytes(cur)))
-            cur_base, cur = None, bytearray()
-
-        for idx, raw in enumerate(self.lines, 1):
-            stmt = raw.split(";", 1)[0].strip()
-            m = _LABEL_RE.match(stmt)
-            if m:
-                label = m.group(1)
-                stmt = stmt[m.end():].strip()
-                if loc is None:
-                    raise AsmError(idx, "label before any .org")
-                if collect:
-                    if label in self.symbols:
-                        raise AsmError(idx, f"duplicate label {label!r}")
-                    self.symbols[label] = loc
-            if not stmt:
-                continue
-
-            parts = stmt.split(None, 1) + [""]
-            mnem, rest = parts[0].upper(), parts[1]
-
-            if mnem == ".ORG":
-                flush()
-                try:
-                    loc = self._check16(int(rest.strip(), 0), idx)
-                except ValueError:
-                    raise AsmError(idx, ".org needs a numeric address") from None
-                cur_base = loc
-                continue
-            if loc is None:
-                raise AsmError(idx, "code before any .org")
-
-            if mnem == ".WORD":
-                for item in rest.split(","):
-                    value = 0 if collect else self._check16(self._expr(item, idx), idx)
-                    cur += value.to_bytes(2, "little")
-                    loc += 2
-                continue
-
-            if mnem not in _FORMS:
-                raise AsmError(idx, f"unknown mnemonic {mnem!r}")
-            # pass 1 only needs the width; every instruction is 4 bytes
-            cur += bytes(INSTR_SIZE) if collect else self._encode(mnem, rest, idx)
-            loc += INSTR_SIZE
-        flush()
-        return segments
 
     def _encode(self, mnem: str, rest: str, line_no: int) -> bytes:
         for op, mode, regex in _FORMS[mnem]:
@@ -144,7 +173,7 @@ class _Pass:
             if m:
                 g = m.groupdict()
                 i = g.get("i")
-                imm = 0 if i is None else self._check16(self._expr(i, line_no), line_no)
+                imm = 0 if i is None else self._value(i, line_no)
                 rs = SP_REG if g.get("sp") else int(g.get("s") or 0)
                 return pack(op, mode, int(g.get("d") or 0), rs, imm)
         raise AsmError(line_no, f"bad operands for {mnem}: {rest!r}")
@@ -152,10 +181,9 @@ class _Pass:
 
 def assemble(source: str, entry: int = 0x8000) -> AsmResult:
     """Assemble ``source`` into an image whose boot entry is ``entry``."""
-    passes = _Pass(source)
-    passes.run(collect=True)
-    segments = passes.run(collect=False)
-    return AsmResult(ProgramImage(entry, tuple(segments)), passes.symbols)
+    asm = _Pass(source)
+    segments = asm.emit(asm.layout())
+    return AsmResult(ProgramImage(entry, tuple(segments)), asm.symbols)
 
 
 def disassemble(data: bytes, base: int) -> list[tuple[int, str]]:
