@@ -185,10 +185,11 @@ def run_image(image: ProgramImage, ar: tuple[int, int], layout: MemoryLayout,
         outcome = Outcome.BUDGET_EXHAUSTED
 
     stats = StatsReport.collect(app_name, layout.cflog_size, outcome, device)
-    # the run's record: equal entries across its reports are one tuple
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    # the run's record: equal entries and region bounds across its reports
+    # are one object
+    shared: dict[tuple[int, int] | int, tuple[int, int] | int] = {}
     return ScenarioResult(stats, outcome, list(verifier.audit),
-                          [decode_report(f, pairs) for f in device.reports],
+                          [decode_report(f, shared) for f in device.reports],
                           device, verifier, channel)
 
 

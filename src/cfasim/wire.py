@@ -168,14 +168,16 @@ def report_metadata(raw: bytes) -> tuple[int, int, int, int]:
     return md
 
 
-def decode_report(raw: bytes, pairs: dict | None = None) -> CfaReport:
-    """The record of a report frame.  With ``pairs``, each entry equal to
-    one already in that dict is that dict's tuple, so records decoded
-    against one dict share what repeats."""
+def decode_report(raw: bytes, shared: dict | None = None) -> CfaReport:
+    """The record of a report frame.  With ``shared``, each entry and each
+    region bound equal to one already in that dict is that dict's object, so
+    records decoded against one dict share what repeats.  ``chal`` differs
+    in every report and is never shared."""
     md = report_metadata(raw)
     entries = tuple(SLOT.iter_unpack(raw[REPORT_FIXED:]))
-    if pairs is not None:
-        entries = tuple(map(pairs.setdefault, entries, entries))
+    if shared is not None:
+        entries = tuple(map(shared.setdefault, entries, entries))
+        md = (md[0], shared.setdefault(md[1], md[1]), shared.setdefault(md[2], md[2]), md[3])
     return CfaReport(raw[:MAC_LEN], Metadata(*md), _TRIGGERS[raw[TRIGGER_AT]], entries)
 
 

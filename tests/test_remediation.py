@@ -8,6 +8,9 @@ run's channel has a blackout window:
 (i)  no run ends ``deadlock``;
 (ii) no run ends ``deadlock`` or ``budget-exhausted`` without a deny.
 
+And whatever the channel, (iii) a run that ends ``completed`` has shipped
+its whole log: the monitor holds no entry.
+
 A deny is keyed on the audit line's ``reason``: dropped frames also print
 ``app=0`` (``bad-frame``, ``bad-mac``, ``stale-chal``) although nothing was
 judged.
@@ -62,6 +65,8 @@ def denies(res) -> list[str]:
 
 
 def assert_converges(res, name: str) -> None:
+    if res.outcome is Outcome.COMPLETED:
+        assert res.device.monitor.cf_size == 0, f"{name}: (iii) log left unshipped"
     if res.channel.policy.blackout_windows:
         return
     assert res.outcome is not Outcome.DEADLOCK, f"{name}: (i) {res.audit}"
