@@ -52,13 +52,19 @@ _NAME_START = frozenset(string.ascii_letters + "_")
 
 # One operand regex per SYNTAX form: its letters become the patterns below
 # (an immediate is any comma-free expression text), its other characters
-# match literally, and blanks may stand between any two of them.
+# match literally, and blanks may stand between any two of them.  With each
+# regex go the numbers of its d, s, sp and i groups, 0 for one it lacks, so
+# that ``(None, *m.groups())[n]`` reads any of them from one tuple.
 _LETTERS = {"d": r"[rR](?P<d>[0-7])", "s": r"[rR](?P<s>[0-7])",
             "S": r"(?:[rR](?P<s>[0-7])|(?P<sp>(?i:sp)))", "i": r"(?P<i>[^,]+?)"}
-_FORMS: dict[str, list[tuple[Op, int, re.Pattern]]] = {}
+_FORMS: dict[str, list[tuple[Op, int, re.Pattern, tuple[int, int, int, int]]]] = {}
 for (_op, _mode), _form in SYNTAX.items():
-    _regex = r"\s*".join(_LETTERS.get(c) or re.escape(c) for c in _form.replace(" ", ""))
-    _FORMS.setdefault(_op.name, []).append((_op, _mode, re.compile(_regex)))
+    _regex = re.compile(r"\s*".join(_LETTERS.get(c) or re.escape(c)
+                                    for c in _form.replace(" ", "")))
+    _groups = tuple(_regex.groupindex.get(name, 0) for name in ("d", "s", "sp", "i"))
+    _FORMS.setdefault(_op.name, []).append((_op, _mode, _regex, _groups))
+# A register group's text -> its number; None (no such register) -> 0.
+_REG = {None: 0, **{str(n): n for n in range(8)}}
 
 
 class _Pass:
@@ -168,14 +174,13 @@ class _Pass:
         return value
 
     def _encode(self, mnem: str, rest: str, line_no: int) -> bytes:
-        for op, mode, regex in _FORMS[mnem]:
+        for op, mode, regex, (d, s, sp, i) in _FORMS[mnem]:
             m = regex.fullmatch(rest)
             if m:
-                g = m.groupdict()
-                i = g.get("i")
-                imm = 0 if i is None else self._value(i, line_no)
-                rs = SP_REG if g.get("sp") else int(g.get("s") or 0)
-                return pack(op, mode, int(g.get("d") or 0), rs, imm)
+                g = (None, *m.groups())
+                imm = 0 if g[i] is None else self._value(g[i], line_no)
+                rs = SP_REG if g[sp] else _REG[g[s]]
+                return pack(op, mode, _REG[g[d]], rs, imm)
         raise AsmError(line_no, f"bad operands for {mnem}: {rest!r}")
 
 

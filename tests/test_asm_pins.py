@@ -1,7 +1,8 @@
 """The assembler's outcome on three corpora, pinned.
 
 Each source's outcome is its image file (``ProgramImage.to_bytes``) and its
-sorted symbol table, or the type and message of the exception it raised.
+sorted symbol table, or the type and message of the ``AsmError`` it raised;
+any other exception fails the test.
 ``data/asm_pins.json`` holds, per corpus, the source count, how many
 assembled, and a SHA-256 over the ordered outcomes.
 
@@ -28,7 +29,7 @@ import pytest
 from helpers.progen import generate
 
 from cfasim.apps import FIXTURES
-from cfasim.asm import assemble
+from cfasim.asm import AsmError, assemble
 
 PINS_PATH = Path(__file__).parent / "data" / "asm_pins.json"
 
@@ -76,7 +77,7 @@ def outcome(source: str) -> tuple:
     try:
         res = assemble(source)
         return True, res.image.to_bytes(), sorted(res.symbols.items())
-    except Exception as exc:     # the pin records whatever the assembler raised
+    except AsmError as exc:
         return False, type(exc).__name__, str(exc)
 
 
